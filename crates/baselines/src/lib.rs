@@ -8,7 +8,8 @@
 //!   `O(λn⁴)` communication shape of the prior private-setup-free coins that
 //!   the paper's `O(λn³)` construction improves on.  (It is a *cost-model*
 //!   baseline: the dealing/reconstruction pattern and the gather are those of
-//!   CKLS02, while the final bit-extraction is simplified; see DESIGN.md.)
+//!   CKLS02, while the final bit-extraction is simplified; see
+//!   [`SquaredAvssCoin`].)
 //! * The gather-based core-set variant of the paper's own coin
 //!   ([`setupfree_core::coin::CoreSetMode::RbcGather`]) serves as the
 //!   AJM+21-style ablation and is exercised by the benchmark harness.

@@ -31,7 +31,7 @@ use setupfree_core::traits::ElectionFactory;
 use setupfree_core::{Committee, CommitteeConfig, TrustedCoinFactory, TrustedElectionFactory};
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets};
 use setupfree_net::{
-    envelope_session, BoxedParty, Envelope, PartyId, ProtocolInstance, RandomScheduler, Scheduler,
+    envelope_path, BoxedParty, Envelope, PartyId, ProtocolInstance, RandomScheduler, Scheduler,
     SessionHost, SessionTargetedDelayScheduler, Sid, Simulation, StopReason,
 };
 use setupfree_runtime::{MaxConcurrent, SessionSetup, ShardedHost, ShardedRunReport};
@@ -58,8 +58,8 @@ pub struct Measurement {
     /// Whether all honest outputs were identical (when meaningful).
     pub agreed: bool,
     /// Why the run stopped (always [`StopReason::AllOutputs`] for the
-    /// asserting `measure_*` helpers; recorded so callers like
-    /// `perf_baseline --smoke` can enforce liveness explicitly).
+    /// asserting `measure_*` helpers; recorded so callers like the `gates`
+    /// binary can enforce liveness explicitly).
     pub reason: StopReason,
 }
 
@@ -769,7 +769,7 @@ pub fn measure_starved_session_abas(n: usize, k: usize, starved: u16, seed: u64)
         })
         .collect();
     let mut sim = Simulation::new(parties, Box::new(SessionTargetedDelayScheduler::new(starved, seed)));
-    sim.set_session_of(envelope_session);
+    sim.set_path_of(envelope_path);
     let report = sim.run(1 << 32);
     assert_eq!(report.reason, StopReason::AllOutputs, "the starved session must still terminate");
     let metrics = sim.metrics();
@@ -858,11 +858,11 @@ pub mod determinism {
 }
 
 // ---------------------------------------------------------------------------
-// Socket-transport workloads (PR 6): the identical machines over real TCP
-// loopback peers (`setupfree-transport`), measured in wall-clock time.  The
-// simulator stays the ground truth for the paper's three metrics (its byte
-// and round accounting is exact); the socket rows add the one quantity the
-// simulator cannot produce — time on a real network stack.
+// Socket-transport workload: the beacon over real TCP loopback peers
+// (`setupfree-transport`), measured in wall-clock time.  The simulator stays
+// the ground truth for the paper's three metrics (its byte and round
+// accounting is exact); the socket run adds the one quantity the simulator
+// cannot produce — time on a real network stack.
 // ---------------------------------------------------------------------------
 
 /// The observables of one socket-backed run.
@@ -870,8 +870,6 @@ pub mod determinism {
 pub struct SocketMeasurement {
     /// Number of parties (= peers).
     pub n: usize,
-    /// Fault threshold.
-    pub f: usize,
     /// Wall-clock milliseconds from activation to the last decision.
     pub wall_ms: f64,
     /// Envelopes written to sockets across all peers.
@@ -890,116 +888,26 @@ pub struct SocketMeasurement {
     pub redials: u64,
 }
 
-fn socket_group(
-    n: usize,
-    plan: Option<&setupfree_transport::LinkFaultPlan>,
-) -> setupfree_transport::TcpPeerGroup {
-    // Generous deadline: these runs finish in well under a minute even at
-    // n = 22 on one core; the deadline only exists so a regression terminates
-    // with a recorded failure instead of hanging the bench.
-    let group =
-        setupfree_transport::TcpPeerGroup::new(n).timeout(std::time::Duration::from_secs(240));
-    match plan {
-        Some(plan) => group.chaos(plan.clone()),
-        None => group,
-    }
-}
-
-fn socket_measurement<O: PartialEq>(
-    n: usize,
-    report: &setupfree_transport::SocketRunReport<O>,
-) -> SocketMeasurement {
-    SocketMeasurement {
-        n,
-        f: (n - 1) / 3,
-        wall_ms: report.wall.as_secs_f64() * 1e3,
-        sent_envelopes: report.total_sent_envelopes(),
-        sent_bytes: report.total_sent_bytes(),
-        agreed: report.all_decided() && report.agreed(),
-        failure: report.failure.as_ref().map(|f| f.to_string()),
-        drops_injected: report.total_drops_injected(),
-        retransmitted: report.total_retransmitted(),
-        redials: report.total_redials(),
-    }
-}
-
-/// Runs the private-setup-free common coin over `n` socket-backed peers.
-pub fn measure_socket_coin(n: usize, seed: u64) -> SocketMeasurement {
-    measure_socket_coin_chaos(n, seed, None)
-}
-
-/// [`measure_socket_coin`] with an optional [`LinkFaultPlan`] underneath —
-/// the clean-vs-chaos comparison rows of `perf_baseline` run the *same*
-/// machines through both.
-pub fn measure_socket_coin_chaos(
-    n: usize,
-    seed: u64,
-    plan: Option<&setupfree_transport::LinkFaultPlan>,
-) -> SocketMeasurement {
-    let (keyring, secrets) = keys(n, seed);
-    let report = socket_group(n, plan)
-        .run(|i| {
-            Box::new(Coin::with_core_mode(
-                Sid::new(&format!("socket-coin-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                CoreSetMode::Weak,
-            )) as BoxedParty<Envelope, CoinOutput>
-        })
-        .expect("loopback socket setup");
-    let mut m = socket_measurement(n, &report);
-    // Coin agreement is on the bit; the certificate set may differ.
-    let bits: Vec<bool> = report.outputs.iter().flatten().map(|o| o.bit).collect();
-    m.agreed = report.all_decided() && bits.windows(2).all(|w| w[0] == w[1]);
-    m
-}
-
-/// Runs the full setup-free ABA (real coin inside) over `n` socket peers.
-pub fn measure_socket_aba(n: usize, seed: u64) -> SocketMeasurement {
-    measure_socket_aba_chaos(n, seed, None)
-}
-
-/// [`measure_socket_aba`] over an optionally chaos-shaped mesh.
-pub fn measure_socket_aba_chaos(
-    n: usize,
-    seed: u64,
-    plan: Option<&setupfree_transport::LinkFaultPlan>,
-) -> SocketMeasurement {
-    let (keyring, secrets) = keys(n, seed);
-    let report = socket_group(n, plan)
-        .run(|i| {
-            let factory = CoinProtocolFactory::new(PartyId(i), keyring.clone(), secrets[i].clone());
-            Box::new(MmrAba::new(
-                Sid::new(&format!("socket-aba-{seed}")),
-                PartyId(i),
-                n,
-                keyring.f(),
-                i % 2 == 0,
-                factory,
-            )) as BoxedParty<Envelope, bool>
-        })
-        .expect("loopback socket setup");
-    socket_measurement(n, &report)
-}
-
 /// Runs the full randomness beacon (`epochs` sequential elections, real
 /// Election + Coin per epoch) over `n` socket peers — the same construction
-/// as [`measure_beacon`], so the simulated and socket rows are directly
-/// comparable.
-pub fn measure_socket_beacon(n: usize, epochs: u32, seed: u64) -> SocketMeasurement {
-    measure_socket_beacon_chaos(n, epochs, seed, None)
-}
-
-/// [`measure_socket_beacon`] over an optionally chaos-shaped mesh.
-pub fn measure_socket_beacon_chaos(
+/// as [`measure_beacon`] — on a clean mesh, or on one shaped by `plan`.
+pub fn measure_socket_beacon(
     n: usize,
     epochs: u32,
     seed: u64,
     plan: Option<&setupfree_transport::LinkFaultPlan>,
 ) -> SocketMeasurement {
     let (keyring, secrets) = keys(n, seed);
-    let report = socket_group(n, plan)
+    // Generous deadline: these runs finish in well under a minute even at
+    // n = 22 on one core; the deadline only exists so a regression terminates
+    // with a recorded failure instead of hanging the caller.
+    let group =
+        setupfree_transport::TcpPeerGroup::new(n).timeout(std::time::Duration::from_secs(240));
+    let group = match plan {
+        Some(plan) => group.chaos(plan.clone()),
+        None => group,
+    };
+    let report = group
         .run(|i| {
             let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
             Box::new(RandomBeacon::new(
@@ -1012,7 +920,17 @@ pub fn measure_socket_beacon_chaos(
             )) as BoxedParty<Envelope, Vec<BeaconEpoch>>
         })
         .expect("loopback socket setup");
-    socket_measurement(n, &report)
+    SocketMeasurement {
+        n,
+        wall_ms: report.wall.as_secs_f64() * 1e3,
+        sent_envelopes: report.total_sent_envelopes(),
+        sent_bytes: report.total_sent_bytes(),
+        agreed: report.all_decided() && report.agreed(),
+        failure: report.failure.as_ref().map(|f| f.to_string()),
+        drops_injected: report.total_drops_injected(),
+        retransmitted: report.total_retransmitted(),
+        redials: report.total_redials(),
+    }
 }
 
 /// Fits the slope of `log(value)` against `log(n)` — the empirical scaling

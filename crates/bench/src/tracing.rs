@@ -2,24 +2,22 @@
 //! module, run with a [`setupfree_obs`] sink installed so the returned
 //! [`Measurement`] comes with the full path-keyed event stream — the input
 //! to phase-latency breakdowns, ABA round distributions, and critical-path
-//! extraction (`trace_baseline` renders them into `BENCH_pr10.json`).
+//! extraction.
 //!
-//! Also home to the two instruments the `perf_baseline --smoke` CI gates
+//! Also home to the two instruments the `gates` binary's tracing checks
 //! use: [`aba_overhead_arm`] (what does tracing cost when off / when
 //! counting?) and [`aba_round_distribution`] (does the round count still
 //! look expected-constant across seeds?).
 
 use std::time::{Duration, Instant};
 
-use setupfree_aba::{MmrAba, MmrAbaFactory};
-use setupfree_app::beacon::RandomBeacon;
+use setupfree_aba::MmrAba;
 use setupfree_core::coin::{Coin, CoinOutput, CoinProtocolFactory, CoreSetMode};
-use setupfree_core::TrustedCoinFactory;
 use setupfree_net::{
-    BoxedParty, Envelope, PartyId, RandomScheduler, Sid, Simulation, StopReason,
+    envelope_path, BoxedParty, Envelope, PartyId, RandomScheduler, Sid, Simulation, StopReason,
 };
 use setupfree_obs::analysis::aba_rounds_to_decide;
-use setupfree_obs::{ObsPath, TraceEvent, VecSink};
+use setupfree_obs::{TraceEvent, VecSink};
 
 use crate::{keys, Measurement};
 
@@ -33,7 +31,7 @@ pub struct TracedRun {
 
 /// Drives `parties` to completion with a [`VecSink`] installed and the
 /// envelope-path classifier wired, so sends are attributed to destination
-/// instance paths.
+/// instance paths (and, under a `SessionHost`, to sessions).
 fn run_traced<O: Clone + std::fmt::Debug>(
     parties: Vec<BoxedParty<Envelope, O>>,
     seed: u64,
@@ -41,7 +39,7 @@ fn run_traced<O: Clone + std::fmt::Debug>(
 ) -> TracedRun {
     let n = parties.len();
     let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
-    sim.set_trace_path_of(|e: &Envelope| ObsPath::from_bytes(e.path.as_bytes()));
+    sim.set_path_of(envelope_path);
     setupfree_obs::install(Box::new(VecSink::new()));
     let report = sim.run(budget);
     let trace = setupfree_obs::uninstall().map(|mut s| s.drain()).unwrap_or_default();
@@ -106,31 +104,10 @@ pub fn trace_setupfree_aba(n: usize, seed: u64) -> TracedRun {
     run_traced(aba_parties(n, seed), seed, 1 << 30)
 }
 
-/// Traces a multi-epoch beacon run (real Election + Coin per epoch,
-/// trusted-coin ABA inside) — the same workload as
-/// [`crate::measure_beacon`].
-pub fn trace_beacon(n: usize, epochs: u32, seed: u64) -> TracedRun {
-    let (keyring, secrets) = keys(n, seed);
-    let parties: Vec<BoxedParty<Envelope, Vec<setupfree_app::beacon::BeaconEpoch>>> = (0..n)
-        .map(|i| {
-            let aba = MmrAbaFactory::new(PartyId(i), n, keyring.f(), TrustedCoinFactory);
-            Box::new(RandomBeacon::new(
-                Sid::new(&format!("bench-beacon-{seed}")),
-                PartyId(i),
-                keyring.clone(),
-                secrets[i].clone(),
-                aba,
-                epochs,
-            )) as BoxedParty<Envelope, Vec<setupfree_app::beacon::BeaconEpoch>>
-        })
-        .collect();
-    run_traced(parties, seed, 1 << 30)
-}
-
 /// The three tracing configurations the overhead gate compares.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OverheadArm {
-    /// No sink installed — the pre-PR 10 baseline.
+    /// No sink installed — the uninstrumented baseline.
     Plain,
     /// A sink installed but emission toggled off: measures the cost of the
     /// instrumentation points themselves (one thread-local flag read each).
@@ -139,10 +116,11 @@ pub enum OverheadArm {
     CountingSink,
 }
 
-/// Runs the standard ABA workload (same seed as `perf_baseline`'s rows)
-/// under one tracing arm and returns `(wall, deliveries, events)` —
-/// deliveries must be bit-identical across arms (tracing observes, never
-/// steers), and the wall-clock ratio between arms is the overhead gate.
+/// Runs the standard ABA workload (same construction as
+/// [`crate::measure_setupfree_aba`]) under one tracing arm and returns
+/// `(wall, deliveries, events)` — deliveries must be bit-identical across
+/// arms (tracing observes, never steers), and the wall-clock ratio between
+/// arms is the overhead gate.
 pub fn aba_overhead_arm(n: usize, seed: u64, arm: OverheadArm) -> (Duration, u64, u64) {
     let parties = aba_parties(n, seed);
     let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(seed)));
@@ -169,8 +147,7 @@ pub fn aba_overhead_arm(n: usize, seed: u64, arm: OverheadArm) -> (Duration, u64
 }
 
 /// Trace-derived rounds-to-decide of the standard ABA workload for each of
-/// `seeds` — the distribution whose mean the round-sanity gate bands and
-/// `BENCH_pr10.json` records.
+/// `seeds` — the distribution whose mean the round-sanity gate bands.
 pub fn aba_round_distribution(n: usize, seeds: impl IntoIterator<Item = u64>) -> Vec<u64> {
     seeds
         .into_iter()

@@ -22,8 +22,9 @@
 //! with a per-transcript fallback); see `ARCHITECTURE.md` §"Crypto hot-path
 //! engine" for the algorithm choices.
 //!
-//! See `DESIGN.md` §2 for the documented substitutions (toy-sized but real
-//! discrete-log group; simulated pairing for the PVSS).
+//! See `ARCHITECTURE.md` §"Simulated pairing group" for the documented
+//! substitutions (toy-sized but real discrete-log group; simulated pairing
+//! for the PVSS).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -5,7 +5,8 @@
 //! authenticated by signatures of knowledge.
 //!
 //! The scheme is instantiated over the simulated bilinear group
-//! ([`crate::pairing`]); see DESIGN.md §2 for the substitution rationale.
+//! ([`crate::pairing`]); see ARCHITECTURE.md §"Simulated pairing group" for
+//! the substitution rationale.
 //! Every verification equation from Alg 6 is implemented verbatim:
 //!
 //! * low-degree consistency of the evaluation vector (`∏ A_j^{ℓ_j(α)} = ∏ F_k^{α^k}`),

@@ -33,7 +33,7 @@ pub mod sim;
 pub use faults::{CrashAfter, DuplicatingParty, SilentParty};
 pub use metrics::{Metrics, SessionImbalance};
 pub use mux::{
-    decode_cache_stats, envelope_session, BufferStats, CapPolicy, DecodeCacheStats, Envelope,
+    decode_cache_stats, envelope_path, BufferStats, CapPolicy, DecodeCacheStats, Envelope,
     InstancePath, Leaf, MuxNode, PathSeg, PreActivationBuffer, Router, SessionHost,
 };
 pub use party::{PartyId, Sid};
@@ -42,4 +42,5 @@ pub use scheduler::{
     FifoScheduler, PartitionScheduler, PendingInfo, RandomScheduler, Scheduler,
     SessionPartitionScheduler, SessionTargetedDelayScheduler, TargetedDelayScheduler,
 };
+pub use setupfree_obs::ObsPath;
 pub use sim::{BoxedParty, RunReport, Simulation, StopReason};

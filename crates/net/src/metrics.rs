@@ -42,8 +42,8 @@ pub struct Metrics {
     /// duplicate filters, or retirement tombstones over the whole run.
     pub pre_activation_dropped: u64,
     /// Per-session messages sent (indexed by the leading session segment),
-    /// recorded only when the simulation has a session classifier installed
-    /// ([`Simulation::set_session_of`](crate::sim::Simulation::set_session_of)).
+    /// recorded only when the simulation has a path classifier installed
+    /// ([`Simulation::set_path_of`](crate::sim::Simulation::set_path_of)).
     pub session_sent: Vec<u64>,
     /// Per-session messages delivered.
     pub session_delivered: Vec<u64>,

@@ -36,6 +36,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::fmt;
 use std::sync::Arc;
 
+use setupfree_obs::ObsPath;
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::party::PartyId;
@@ -1055,17 +1056,19 @@ impl<N: MuxNode> Router<N> {
 /// The reserved path kind of [`SessionHost`] session segments.
 pub const KIND_SESSION: u8 = 0xFE;
 
-/// The session a [`SessionHost`]-multiplexed envelope belongs to: the index
-/// of its leading [`KIND_SESSION`] segment, `None` for any other traffic.
-/// This is the session classifier the session-aware adversarial schedulers
-/// and the per-session metrics are keyed by
-/// ([`Simulation::set_session_of`](crate::sim::Simulation::set_session_of)).
-pub fn envelope_session(env: &Envelope) -> Option<u16> {
-    env.path
-        .segments()
-        .next()
-        .filter(|seg| seg.kind == KIND_SESSION)
-        .map(|seg| seg.index)
+/// The destination instance path of an envelope, in the trace's
+/// representation — the path classifier of mux workloads
+/// ([`Simulation::set_path_of`](crate::sim::Simulation::set_path_of)).
+pub fn envelope_path(env: &Envelope) -> ObsPath {
+    ObsPath::from_bytes(env.path.as_bytes())
+}
+
+/// The session a classified path belongs to: the index of its leading
+/// [`KIND_SESSION`] segment (a [`SessionHost`]-multiplexed message), `None`
+/// for any other traffic.  The session-aware adversarial schedulers and the
+/// per-session metrics are keyed by it.
+pub(crate) fn path_session(path: &ObsPath) -> Option<u16> {
+    path.segments().next().filter(|&(kind, _)| kind == KIND_SESSION).map(|(_, index)| index)
 }
 
 /// Runs `k` independent top-level sessions of one protocol over a single
@@ -1502,15 +1505,17 @@ mod tests {
     }
 
     #[test]
-    fn envelope_session_reads_the_leading_session_segment() {
+    fn envelope_path_session_reads_the_leading_session_segment() {
         let mut path = InstancePath::of(PathSeg::new(3, 7));
         path.push_front(PathSeg { kind: KIND_SESSION, index: 5 });
         let env = Envelope { path, payload: setupfree_wire::to_shared_bytes(&1u8) };
-        assert_eq!(envelope_session(&env), Some(5));
+        assert_eq!(envelope_path(&env), ObsPath::from_segments(&[(KIND_SESSION, 5), (3, 7)]));
+        assert_eq!(path_session(&envelope_path(&env)), Some(5));
         let unsessioned = Envelope::seal(InstancePath::of(PathSeg::new(3, 7)), &1u8);
-        assert_eq!(envelope_session(&unsessioned), None);
+        assert_eq!(path_session(&envelope_path(&unsessioned)), None);
         let root = Envelope::seal(InstancePath::root(), &1u8);
-        assert_eq!(envelope_session(&root), None);
+        assert_eq!(envelope_path(&root), ObsPath::ROOT);
+        assert_eq!(path_session(&ObsPath::ROOT), None);
     }
 
     fn arb_path() -> impl Strategy<Value = InstancePath> {

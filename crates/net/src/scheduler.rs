@@ -46,8 +46,8 @@ pub struct PendingInfo {
     /// identifies the in-flight message.
     pub seq: u64,
     /// The top-level session the message belongs to, when the simulation has
-    /// a session classifier installed
-    /// ([`Simulation::set_session_of`](crate::sim::Simulation::set_session_of))
+    /// a path classifier installed
+    /// ([`Simulation::set_path_of`](crate::sim::Simulation::set_path_of))
     /// — the adversary may target a whole session's traffic, mirroring the
     /// concurrent-BA regime where one instance is starved selectively.
     pub session: Option<u16>,

@@ -39,21 +39,20 @@ use std::collections::VecDeque;
 use std::rc::Rc;
 use std::sync::Arc;
 
+use setupfree_obs::ObsPath;
 use setupfree_wire::{from_bytes, to_shared_bytes};
 
 use crate::metrics::Metrics;
+use crate::mux::path_session;
 use crate::party::PartyId;
 use crate::protocol::{Dest, ProtocolInstance, Step};
 use crate::scheduler::{PendingInfo, Scheduler};
 
-/// A session classifier: maps an outgoing message to the top-level session
-/// it belongs to (see [`Simulation::set_session_of`]).
-pub type SessionClassifier<M> = Box<dyn Fn(&M) -> Option<u16>>;
-
-/// A trace-path classifier: maps an outgoing message to the instance path of
-/// its destination (see [`Simulation::set_trace_path_of`]).  Only consulted
-/// while tracing is enabled.
-pub type TracePathClassifier<M> = Box<dyn Fn(&M) -> setupfree_obs::ObsPath>;
+/// A path classifier: maps an outgoing message to the instance path of its
+/// destination (see [`Simulation::set_path_of`]).  The path's leading
+/// [`KIND_SESSION`](crate::mux::KIND_SESSION) segment, if any, names the
+/// message's top-level session.
+pub type PathClassifier<M> = Box<dyn Fn(&M) -> ObsPath>;
 
 /// A party implementation erased to its message/output types, so honest and
 /// Byzantine implementations can coexist in one simulation.
@@ -144,18 +143,13 @@ where
     metrics: Metrics,
     seq: u64,
     activated: bool,
-    /// Optional session classifier: maps an outgoing message to the
-    /// top-level session it belongs to (e.g.
-    /// [`envelope_session`](crate::mux::envelope_session) for
-    /// [`SessionHost`](crate::mux::SessionHost) workloads).  Enables the
-    /// session-aware adversarial schedulers and the per-session counters of
-    /// [`Metrics`].
-    session_of: Option<SessionClassifier<M>>,
-    /// Optional trace-path classifier: maps an outgoing message to the
-    /// destination instance path recorded on its trace `Send` event (e.g.
-    /// the envelope path for mux workloads).  Only consulted while tracing
-    /// is enabled, so it adds no cost to untraced runs.
-    trace_path_of: Option<TracePathClassifier<M>>,
+    /// Optional path classifier: maps an outgoing message to its
+    /// destination instance path (e.g.
+    /// [`envelope_path`](crate::mux::envelope_path) for mux workloads).
+    /// The path is recorded on the trace `Send` event, and its leading
+    /// session segment feeds the session-aware adversarial schedulers and
+    /// the per-session counters of [`Metrics`].
+    path_of: Option<PathClassifier<M>>,
 }
 
 /// `index` marker for a seq that is no longer in flight.
@@ -192,28 +186,23 @@ where
             metrics: Metrics::new(n),
             seq: 0,
             activated: false,
-            session_of: None,
-            trace_path_of: None,
+            path_of: None,
         }
     }
 
-    /// Installs a session classifier: every send is attributed to the
-    /// session the closure returns, surfacing per-session counters in
-    /// [`Metrics`] and session identities to the scheduler (the
-    /// session-aware adversaries starve on them).  Install before any
-    /// traffic flows — typically right after construction.
-    pub fn set_session_of(&mut self, f: impl Fn(&M) -> Option<u16> + 'static) {
-        assert_eq!(self.seq, 0, "install the session classifier before any traffic flows");
-        self.session_of = Some(Box::new(f));
-    }
-
-    /// Installs a trace-path classifier: while tracing is enabled, every
-    /// send's trace event carries the instance path this closure extracts
-    /// from the message (for mux workloads, the envelope's own path), making
-    /// per-protocol byte attribution possible from the trace stream alone.
-    pub fn set_trace_path_of(&mut self, f: impl Fn(&M) -> setupfree_obs::ObsPath + 'static) {
-        assert_eq!(self.seq, 0, "install the trace-path classifier before any traffic flows");
-        self.trace_path_of = Some(Box::new(f));
+    /// Installs a path classifier: every send is attributed to the instance
+    /// path the closure extracts from the message (for mux workloads,
+    /// [`envelope_path`](crate::mux::envelope_path)).  A leading
+    /// [`KIND_SESSION`](crate::mux::KIND_SESSION) segment attributes the
+    /// send to that session, surfacing per-session counters in [`Metrics`]
+    /// and session identities to the scheduler (the session-aware
+    /// adversaries starve on them); the whole path rides on the trace `Send`
+    /// event, making per-protocol byte attribution possible from the trace
+    /// stream alone.  Install before any traffic flows — typically right
+    /// after construction.
+    pub fn set_path_of(&mut self, f: impl Fn(&M) -> ObsPath + 'static) {
+        assert_eq!(self.seq, 0, "install the path classifier before any traffic flows");
+        self.path_of = Some(Box::new(f));
     }
 
     /// Number of parties.
@@ -442,13 +431,13 @@ where
         let sender_depth = self.parties[from.index()].depth;
         let honest = self.parties[from.index()].honest;
         for out in step.outgoing {
-            // Classified once per send (every copy shares the session).
-            let session = self.session_of.as_ref().and_then(|f| f(&out.msg));
-            // Trace path extracted only while tracing (ObsPath is Copy).
-            let trace_path = if setupfree_obs::enabled() {
-                self.trace_path_of.as_ref().map(|f| f(&out.msg)).unwrap_or_default()
-            } else {
-                setupfree_obs::ObsPath::ROOT
+            // Classified once per send (every copy shares path and session).
+            let (trace_path, session) = match &self.path_of {
+                Some(f) => {
+                    let path = f(&out.msg);
+                    (path, path_session(&path))
+                }
+                None => (ObsPath::ROOT, None),
             };
             // One encoding per send, shared by every in-flight copy.
             let payload = Rc::new(PayloadState {
@@ -489,7 +478,7 @@ where
         sender_depth: u64,
         honest: bool,
         session: Option<u16>,
-        trace_path: setupfree_obs::ObsPath,
+        trace_path: ObsPath,
     ) {
         self.metrics.record_send(from, payload.bytes.len(), honest);
         self.metrics.record_session_send(session);

@@ -220,9 +220,8 @@ pub fn aba_rounds_to_decide(events: &[TraceEvent]) -> u32 {
 }
 
 /// Bytes and message copies sent, attributed by instance-path prefix of
-/// length `depth` — the general form of the ad-hoc `byte_histogram` bin
-/// (depth 1 over a `SessionHost` stream = bytes per session; depth 2 under
-/// a composite = bytes per sub-protocol).
+/// length `depth` (depth 1 over a `SessionHost` stream = bytes per session;
+/// depth 2 under a composite = bytes per sub-protocol).
 pub fn byte_attribution(events: &[TraceEvent], depth: usize) -> Vec<(ObsPath, u64, u64)> {
     let mut bins: BTreeMap<Vec<u8>, (ObsPath, u64, u64)> = BTreeMap::new();
     for e in events {

@@ -65,9 +65,9 @@
 use std::fmt;
 
 use setupfree_net::{
-    BoxedParty, CrashAfter, FifoScheduler, Metrics, PartitionScheduler, PartyId, RandomScheduler,
-    RunReport, Scheduler, SessionPartitionScheduler, SessionTargetedDelayScheduler, SilentParty,
-    Simulation, StopReason, TargetedDelayScheduler,
+    BoxedParty, CrashAfter, FifoScheduler, Metrics, ObsPath, PartitionScheduler, PartyId,
+    RandomScheduler, RunReport, Scheduler, SessionPartitionScheduler,
+    SessionTargetedDelayScheduler, SilentParty, Simulation, StopReason, TargetedDelayScheduler,
 };
 
 /// One reproducible adversarial delivery schedule.
@@ -102,8 +102,8 @@ pub enum Adversary {
     },
     /// Starve a single **session** of a concurrent-session workload: every
     /// message of the target session is delayed as long as any other message
-    /// is pending.  Requires the ensemble to install a session classifier
-    /// ([`Ensemble::with_session_of`]) — without one no message carries a
+    /// is pending.  Requires the ensemble to install a path classifier
+    /// ([`Ensemble::with_path_of`]) — without one no message carries a
     /// session and the schedule degenerates to uniform random.
     SessionTargetedDelay {
         /// The starved session index.
@@ -183,8 +183,8 @@ impl Adversary {
     /// The per-session fairness sweep for a `k`-session concurrent workload:
     /// `seeds` random schedules, a targeted starvation of session 0, and a
     /// partition starving the trailing half of the sessions.  Ensembles run
-    /// under it must install a session classifier
-    /// ([`Ensemble::with_session_of`]).
+    /// under it must install a path classifier
+    /// ([`Ensemble::with_path_of`]).
     pub fn session_sweep(k: u16, seeds: u64) -> Vec<Adversary> {
         let mut sweep: Vec<Adversary> =
             (0..seeds).map(|seed| Adversary::Random { seed }).collect();
@@ -229,7 +229,7 @@ where
     byzantine: Vec<usize>,
     crash_faulty: Vec<usize>,
     crashed_at_start: Vec<usize>,
-    session_of: Option<fn(&M) -> Option<u16>>,
+    path_of: Option<fn(&M) -> ObsPath>,
 }
 
 impl<M, O> Ensemble<M, O>
@@ -244,20 +244,20 @@ where
             byzantine: Vec::new(),
             crash_faulty: Vec::new(),
             crashed_at_start: Vec::new(),
-            session_of: None,
+            path_of: None,
         }
     }
 
-    /// Installs a session classifier on the simulation (see
-    /// [`Simulation::set_session_of`]): per-session counters appear in the
+    /// Installs a path classifier on the simulation (see
+    /// [`Simulation::set_path_of`]): per-session counters appear in the
     /// run's [`Metrics`] — with their conservation law asserted by [`sweep`]
     /// — and the session-aware adversaries
     /// ([`Adversary::SessionTargetedDelay`], [`Adversary::SessionPartition`])
     /// see which session each message belongs to.  Concurrent-session
     /// ensembles (`SessionHost` workloads) pass
-    /// [`setupfree_net::envelope_session`].
-    pub fn with_session_of(mut self, f: fn(&M) -> Option<u16>) -> Self {
-        self.session_of = Some(f);
+    /// [`setupfree_net::envelope_path`].
+    pub fn with_path_of(mut self, f: fn(&M) -> ObsPath) -> Self {
+        self.path_of = Some(f);
         self
     }
 
@@ -309,8 +309,8 @@ where
         let mut honest = vec![true; n];
         let mut awaited = vec![true; n];
         let mut sim = Simulation::new(self.parties, adversary.scheduler());
-        if let Some(f) = self.session_of {
-            sim.set_session_of(f);
+        if let Some(f) = self.path_of {
+            sim.set_path_of(f);
         }
         for &i in &self.byzantine {
             honest[i] = false;

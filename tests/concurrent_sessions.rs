@@ -40,7 +40,7 @@ fn concurrent_trusted_abas_agree_per_session_across_schedules() {
                 .collect();
             Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
         })
-        .with_session_of(envelope_session)
+        .with_path_of(envelope_path)
     });
     for run in &runs {
         run.assert_validity(|out| out.len() == k);
@@ -75,7 +75,7 @@ fn concurrent_full_stack_abas_agree_per_session() {
                 .collect();
             Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
         })
-        .with_session_of(envelope_session)
+        .with_path_of(envelope_path)
     });
     for run in &runs {
         run.assert_validity(|out| out.len() == k);
@@ -102,7 +102,7 @@ fn concurrent_sessions_tolerate_a_silent_party() {
                 .collect();
             Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
         })
-        .with_session_of(envelope_session)
+        .with_path_of(envelope_path)
         .silence(2)
     });
     for run in &runs {
@@ -137,7 +137,7 @@ fn starved_session_still_terminates_and_interference_is_measured() {
                 .collect();
             Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
         })
-        .with_session_of(envelope_session)
+        .with_path_of(envelope_path)
     });
     for run in &runs {
         run.assert_validity(|out| out.len() == k);
@@ -178,7 +178,7 @@ fn session_partition_starves_the_trailing_group_but_everyone_terminates() {
                     .collect();
                 Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
             })
-            .with_session_of(envelope_session)
+            .with_path_of(envelope_path)
         },
     );
     for run in &runs {
@@ -212,7 +212,7 @@ fn pipelined_beacon_epochs_agree_on_leaders() {
                 .collect();
             Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<ElectionOutput>>
         })
-        .with_session_of(envelope_session)
+        .with_path_of(envelope_path)
     });
     for run in &runs {
         run.assert_termination();
@@ -224,4 +224,61 @@ fn pipelined_beacon_epochs_agree_on_leaders() {
             }
         }
     }
+}
+
+#[test]
+fn the_path_classifier_attributes_sends_to_sessions_in_metrics_and_trace() {
+    // One classifier feeds both ledgers: the per-session Metrics counters
+    // and the path carried by every trace Send event.  They must agree
+    // session for session.
+    use setupfree::net::mux::KIND_SESSION;
+    use setupfree_obs::analysis::byte_attribution;
+    use setupfree_obs::{EventKind, ObsPath, VecSink};
+
+    let (n, k) = (4, 3usize);
+    let parties: Vec<BoxedParty<Envelope, Vec<bool>>> = (0..n)
+        .map(|i| {
+            let sessions: Vec<MmrAba<TrustedCoinFactory>> = (0..k)
+                .map(|s| {
+                    MmrAba::new(
+                        Sid::new("it-path-classifier").derive("session", s),
+                        PartyId(i),
+                        n,
+                        1,
+                        (i + s) % 2 == 0,
+                        TrustedCoinFactory,
+                    )
+                })
+                .collect();
+            Box::new(SessionHost::new(sessions)) as BoxedParty<Envelope, Vec<bool>>
+        })
+        .collect();
+    let mut sim = Simulation::new(parties, Box::new(RandomScheduler::new(0xC1A5)));
+    sim.set_path_of(envelope_path);
+    setupfree_obs::install(Box::new(VecSink::new()));
+    let report = sim.run(10_000_000);
+    let trace = setupfree_obs::uninstall().map(|mut s| s.drain()).unwrap_or_default();
+    assert_eq!(report.reason, StopReason::AllOutputs);
+
+    let metrics = sim.metrics();
+    assert_eq!(metrics.session_conservation_violation(), None);
+    assert_eq!(metrics.unclassified_sent, 0, "every SessionHost send carries a session");
+    let bins = byte_attribution(&trace, 1);
+    assert_eq!(bins.len(), k, "one depth-1 path prefix per session");
+    for (prefix, _bytes, sends) in &bins {
+        let segments: Vec<(u8, u16)> = prefix.segments().collect();
+        let [(kind, s)] = segments[..] else { panic!("depth-1 prefix {prefix}") };
+        assert_eq!(kind, KIND_SESSION);
+        assert_eq!(metrics.session_sent[s as usize], *sends, "session {s}");
+    }
+    let mut checked = 0;
+    for e in &trace {
+        if let EventKind::Send { session, path, .. } = &e.kind {
+            let leading = path.segments().next().map(|(_, index)| index);
+            assert_eq!(*session, leading, "Send on {path} carries session {session:?}");
+            assert_ne!(*path, ObsPath::ROOT);
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, metrics.session_sent.iter().sum::<u64>());
 }

@@ -24,7 +24,7 @@ pub mod harness;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use setupfree_crypto::hash::{sha256, stream_xor, Digest};
+use setupfree_crypto::hash::{sha256, stream_xor};
 use setupfree_crypto::pedersen::PedersenCommitment;
 use setupfree_crypto::poly::{interpolate_at_zero, Polynomial};
 use setupfree_crypto::scalar::Scalar;
@@ -199,8 +199,10 @@ pub struct Avss {
     pending_cipher: Option<PendingCipher>,
     echo_sent: bool,
     ready_sent: bool,
-    echoes: BTreeMap<Digest, (BTreeSet<usize>, Vec<u8>)>,
-    readies: BTreeMap<Digest, (BTreeSet<usize>, Vec<u8>)>,
+    /// Echo and ready tallies: the distinct senders per ciphertext, keyed by
+    /// the ciphertext bytes (one stored copy of each).
+    echoes: BTreeMap<Vec<u8>, BTreeSet<usize>>,
+    readies: BTreeMap<Vec<u8>, BTreeSet<usize>>,
     share_output: Option<AvssShareOutput>,
     // --- reconstruction phase ---
     rec_activated: bool,
@@ -502,12 +504,9 @@ impl Avss {
 
     fn on_echo(&mut self, from: PartyId, cipher: Vec<u8>) -> Step<AvssMessage> {
         let quorum = 2 * self.f() + 1;
-        let digest = sha256(&cipher);
-        let entry = self.echoes.entry(digest).or_insert_with(|| (BTreeSet::new(), cipher));
-        entry.0.insert(from.index());
-        if entry.0.len() >= quorum && !self.ready_sent {
+        if tally(&mut self.echoes, from, &cipher) >= quorum && !self.ready_sent {
             self.ready_sent = true;
-            return Step::multicast(AvssMessage::Ready { cipher: entry.1.clone() });
+            return Step::multicast(AvssMessage::Ready { cipher });
         }
         Step::none()
     }
@@ -515,15 +514,11 @@ impl Avss {
     fn on_ready(&mut self, from: PartyId, cipher: Vec<u8>) -> Step<AvssMessage> {
         let quorum = 2 * self.f() + 1;
         let amplify = self.f() + 1;
-        let digest = sha256(&cipher);
-        let entry = self.readies.entry(digest).or_insert_with(|| (BTreeSet::new(), cipher));
-        entry.0.insert(from.index());
-        let count = entry.0.len();
-        let value = entry.1.clone();
+        let count = tally(&mut self.readies, from, &cipher);
         let mut step = Step::none();
         if count >= amplify && !self.ready_sent {
             self.ready_sent = true;
-            step.push_multicast(AvssMessage::Ready { cipher: value.clone() });
+            step.push_multicast(AvssMessage::Ready { cipher: cipher.clone() });
         }
         if count >= quorum && self.share_output.is_none() {
             // Alg 1 line 26: output (cipher, shA, shB, cmt); shares may be ⊥.
@@ -533,7 +528,7 @@ impl Avss {
                 (None, None, None)
             };
             setupfree_obs::phase(setupfree_obs::Phase::AvssShare, share_a.is_some() as u32);
-            self.share_output = Some(AvssShareOutput { cipher: value, share_a, share_b, commitment });
+            self.share_output = Some(AvssShareOutput { cipher, share_a, share_b, commitment });
         }
         step
     }
@@ -569,6 +564,21 @@ impl Avss {
     /// Whether this party has activated the reconstruction phase.
     pub fn reconstruction_started(&self) -> bool {
         self.rec_activated
+    }
+}
+
+/// Records `from`'s vote for `cipher` and returns the ciphertext's count of
+/// distinct voters.  The map copies each ciphertext once, on its first vote.
+fn tally(votes: &mut BTreeMap<Vec<u8>, BTreeSet<usize>>, from: PartyId, cipher: &[u8]) -> usize {
+    match votes.get_mut(cipher) {
+        Some(voters) => {
+            voters.insert(from.index());
+            voters.len()
+        }
+        None => {
+            votes.insert(cipher.to_vec(), BTreeSet::from([from.index()]));
+            1
+        }
     }
 }
 
@@ -894,6 +904,77 @@ mod tests {
         assert!(outs.windows(2).all(|w| w[0].cipher == w[1].cipher));
         // The victim (party 3) holds no shares but still has the ciphertext.
         assert!(receivers[2].sharing_output().unwrap().share_a.is_none());
+    }
+
+    #[test]
+    fn equivocating_echoes_cannot_split_honest_outputs() {
+        // f Byzantine receivers run the protocol (they sign KeyStored) but
+        // echo and ready a forged ciphertext, and do so from activation on.
+        // Their f votes reach neither the f + 1 amplification threshold nor
+        // the 2f + 1 quorum, so every honest party outputs the dealer's
+        // ciphertext and none sends Ready for the forged one.
+        use rand::{Rng, SeedableRng};
+        let n = 7;
+        let f = 2;
+        let forged = b"forged ciphertext".to_vec();
+        let forge = |msg: AvssMessage| match msg {
+            AvssMessage::Echo { .. } => AvssMessage::Echo { cipher: forged.clone() },
+            AvssMessage::Ready { .. } => AvssMessage::Ready { cipher: forged.clone() },
+            msg => msg,
+        };
+        for seed in 0..10 {
+            let (keyring, secrets) = setup(n);
+            let mut parties: Vec<Avss> = (0..n)
+                .map(|i| {
+                    let input = (i == 0).then(|| b"dealt".to_vec());
+                    let sid = Sid::new("avss-equivocate");
+                    Avss::new(sid, PartyId(i), PartyId(0), keyring.clone(), secrets[i].clone(), input)
+                })
+                .collect();
+            let byzantine = |i: usize| i >= n - f;
+            let mut queue: Vec<(PartyId, PartyId, AvssMessage)> = Vec::new();
+            let mut dealt = None;
+            let mut push = |step: Step<AvssMessage>, from: PartyId, queue: &mut Vec<_>| {
+                for o in step.outgoing {
+                    match &o.msg {
+                        AvssMessage::Ready { cipher } if !byzantine(from.index()) => {
+                            assert_ne!(*cipher, forged, "honest {from:?} readied the forgery, seed {seed}");
+                        }
+                        AvssMessage::Cipher { cipher, .. } => dealt = Some(cipher.clone()),
+                        _ => {}
+                    }
+                    let targets = match o.dest {
+                        setupfree_net::Dest::All => (0..n).map(PartyId).collect(),
+                        setupfree_net::Dest::One(t) => vec![t],
+                    };
+                    for t in targets {
+                        queue.push((from, t, o.msg.clone()));
+                    }
+                }
+            };
+            for (i, party) in parties.iter_mut().enumerate() {
+                let mut step = party.activate();
+                if byzantine(i) {
+                    step.push_multicast(AvssMessage::Echo { cipher: forged.clone() });
+                    step.push_multicast(AvssMessage::Ready { cipher: forged.clone() });
+                }
+                push(step, PartyId(i), &mut queue);
+            }
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            while !queue.is_empty() {
+                let (from, to, msg) = queue.swap_remove(rng.gen_range(0..queue.len()));
+                let mut step = parties[to.index()].handle(from, msg);
+                if byzantine(to.index()) {
+                    step = step.map(forge);
+                }
+                push(step, to, &mut queue);
+            }
+            let dealt = dealt.expect("the honest dealer sends its ciphertext");
+            for (i, party) in parties.iter().enumerate().filter(|(i, _)| !byzantine(*i)) {
+                let out = party.sharing_output().unwrap_or_else(|| panic!("party {i} output, seed {seed}"));
+                assert_eq!(out.cipher, dealt, "party {i}, seed {seed}");
+            }
+        }
     }
 
     #[test]

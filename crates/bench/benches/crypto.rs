@@ -8,7 +8,7 @@ use setupfree_crypto::pvss::{
     verify_single_dealer_batch, PvssDecryptionKey, PvssParams, PvssScript,
 };
 use setupfree_crypto::{
-    hash::sha256, PedersenCommitment, Polynomial, Scalar, SigningKey, VrfSecretKey,
+    hash::sha256, PedersenCommitment, Polynomial, QuorumCert, Scalar, SigningKey, VrfSecretKey,
 };
 
 fn bench_hash(c: &mut Criterion) {
@@ -56,6 +56,15 @@ fn bench_signatures(c: &mut Criterion) {
     let sig = sk.sign(b"ctx", b"message");
     c.bench_function("sig/sign", |b| b.iter(|| sk.sign(b"ctx", b"message")));
     c.bench_function("sig/verify", |b| b.iter(|| pk.verify(b"ctx", b"message", &sig)));
+
+    // A 15-of-22 certificate over a 1 KiB message (the size of a commitment
+    // or PVSS script): the message is hashed once per check, not per signer.
+    let sks: Vec<SigningKey> = (0..22).map(|_| SigningKey::generate(&mut rng)).collect();
+    let pks: Vec<_> = sks.iter().map(SigningKey::verifying_key).collect();
+    let message = vec![0x5au8; 1024];
+    let entries: Vec<(usize, _)> = (0..15).map(|i| (i, sks[i].sign(b"ctx", &message))).collect();
+    let cert = QuorumCert::new(15, &entries, &pks, b"ctx", &message).expect("valid quorum");
+    c.bench_function("sig/qc_verify_n22_1KiB", |b| b.iter(|| cert.verify(&pks, b"ctx", &message)));
 }
 
 fn bench_vrf(c: &mut Criterion) {

@@ -95,18 +95,19 @@ impl Sha256 {
 
     /// Finalizes the hash and returns the digest.
     pub fn finalize(mut self) -> Digest {
+        // Pad in place: 0x80, zeros up to byte 56 of a block, then the
+        // message length in bits, big-endian.  If fewer than 9 bytes are
+        // free the length spills into one extra block.
         let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buffer_len != 56 {
-            self.update(&[0x00]);
-            // `update` adjusts total_len, but padding bytes must not count;
-            // we already captured bit_len above so this is harmless.
+        let mut block = self.buffer;
+        block[self.buffer_len] = 0x80;
+        block[self.buffer_len + 1..].fill(0);
+        if self.buffer_len >= 56 {
+            self.compress(&block);
+            block = [0u8; 64];
         }
-        // Append the original message length in bits, big-endian.
-        let mut final_block = [0u8; 8];
-        final_block.copy_from_slice(&bit_len.to_be_bytes());
-        self.update(&final_block);
-        debug_assert_eq!(self.buffer_len, 0);
+        block[56..].copy_from_slice(&bit_len.to_be_bytes());
+        self.compress(&block);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
@@ -248,6 +249,27 @@ mod tests {
             h.update(&data[..split]);
             h.update(&data[split..]);
             assert_eq!(h.finalize(), sha256(&data), "split at {split}");
+        }
+        // Padding boundaries: up to 55 bytes the 0x80 byte and the length fit
+        // in the last block; 56..=63 spill the length into an extra block; 64
+        // and 119/120 repeat the pattern one block later.  The digests come
+        // from an independent SHA-256 implementation.
+        for (len, expected) in [
+            (55, "463eb28e72f82e0a96c0a4cc53690c571281131f672aa229e0d45ae59b598b59"),
+            (56, "da2ae4d6b36748f2a318f23e7ab1dfdf45acdc9d049bd80e59de82a60895f562"),
+            (63, "29af2686fd53374a36b0846694cc342177e428d1647515f078784d69cdb9e488"),
+            (64, "fdeab9acf3710362bd2658cdc9a29e8f9c757fcf9811603a8c447cd1d9151108"),
+            (119, "da18797ed7c3a777f0847f429724a2d8cd5138e6ed2895c3fa1a6d39d18f7ec6"),
+            (120, "f52b23db1fbb6ded89ef42a23ce0c8922c45f25c50b568a93bf1c075420bbb7c"),
+        ] {
+            let msg = &data[..len];
+            assert_eq!(hex(&sha256(msg)), expected, "length {len}");
+            for split in [1, len / 2, len - 1] {
+                let mut h = Sha256::new();
+                h.update(&msg[..split]);
+                h.update(&msg[split..]);
+                assert_eq!(hex(&h.finalize()), expected, "length {len}, split at {split}");
+            }
         }
     }
 

@@ -14,6 +14,7 @@ use rand::Rng;
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::group::GroupElement;
+use crate::hash::{hash_fields, Digest};
 use crate::multiexp;
 use crate::scalar::Scalar;
 
@@ -71,21 +72,19 @@ impl SigningKey {
     /// leaves the party, so an adversary fixing the batched claims cannot
     /// predict the weights derived from it.
     pub fn batch_entropy(&self) -> [u8; 32] {
-        crate::hash::hash_fields("setupfree/sig/batch-entropy", &[&self.sk.to_bytes()])
+        hash_fields("setupfree/sig/batch-entropy", &[&self.sk.to_bytes()])
     }
 
     /// Signs `message` under the given domain-separation `context`
     /// (the paper's `Sign^ID_i(m)`).
     pub fn sign(&self, context: &[u8], message: &[u8]) -> Signature {
-        // Derandomized nonce: k = H(sk, ctx, m).  Deterministic signing keeps
-        // the protocol state machines reproducible under a fixed seed.
-        let k = Scalar::from_hash(
-            "setupfree/sig/nonce",
-            &[&self.sk.to_bytes(), context, message],
-        );
+        let mu = message_digest(context, message);
+        // Derandomized nonce: k = H(sk, μ).  Deterministic signing keeps the
+        // protocol state machines reproducible under a fixed seed.
+        let k = Scalar::from_hash("setupfree/sig/nonce", &[&self.sk.to_bytes(), &mu]);
         let k = if k.is_zero() { Scalar::one() } else { k };
         let r = multiexp::fixed_pow_g1(k);
-        let c = challenge(&r, &self.pk, context, message);
+        let c = challenge(&r, &self.pk, &mu);
         let s = k + c * self.sk;
         Signature { c, s }
     }
@@ -94,12 +93,12 @@ impl SigningKey {
 impl VerifyingKey {
     /// Verifies `sig` on `(context, message)`.
     pub fn verify(&self, context: &[u8], message: &[u8], sig: &Signature) -> bool {
-        // R' = g^s * pk^{-c}; valid iff H(R', pk, ctx, m) == c.  The g-part
+        // R' = g^s * pk^{-c}; valid iff H(R', pk, μ) == c.  The g-part
         // uses the fixed-base table and pk^{-c} is a single exponentiation
         // with the negated scalar (order-q elements satisfy x^{-c} = x^{q-c}),
         // avoiding the full field inversion the naive form would pay.
         let r = multiexp::fixed_pow_g1(sig.s) * self.0.pow(sig.c.negate());
-        challenge(&r, self, context, message) == sig.c
+        challenge(&r, self, &message_digest(context, message)) == sig.c
     }
 
     /// The underlying group element.
@@ -108,11 +107,17 @@ impl VerifyingKey {
     }
 }
 
-fn challenge(r: &GroupElement, pk: &VerifyingKey, context: &[u8], message: &[u8]) -> Scalar {
-    Scalar::from_hash(
-        "setupfree/sig/challenge",
-        &[&r.to_bytes(), &pk.0.to_bytes(), context, message],
-    )
+/// The digest `μ = H(ctx, m)` that the nonce, the challenge and the
+/// aggregation transcript bind instead of the raw bytes.  Each operation
+/// hashes the message once, so checking a `k`-signer certificate costs
+/// `O(k + |m|)` hashing rather than `O(k·|m|)`.
+fn message_digest(context: &[u8], message: &[u8]) -> Digest {
+    hash_fields("setupfree/sig/message", &[context, message])
+}
+
+/// The Fiat–Shamir challenge `c = H(R, pk, μ)`.
+fn challenge(r: &GroupElement, pk: &VerifyingKey, mu: &Digest) -> Scalar {
+    Scalar::from_hash("setupfree/sig/challenge", &[&r.to_bytes(), &pk.0.to_bytes(), mu])
 }
 
 // ---------------------------------------------------------------------------
@@ -162,8 +167,9 @@ impl std::error::Error for AggregateError {}
 /// the individual signature via the verification equation `R_i = g^{s_i} ·
 /// pk_i^{-c_i}`) but collapses the `k` response scalars into one random
 /// linear combination `s̄ = Σ z_i·s_i`, with the weights `z_i` derived by
-/// Fiat–Shamir from the full transcript (signer bitmap, all `R_i`, context
-/// and message).  Verification checks the combined equation
+/// Fiat–Shamir from the full transcript (signer bitmap, all `R_i`, and the
+/// message digest `μ = H(ctx, msg)`).  Verification checks the combined
+/// equation
 ///
 /// ```text
 ///   g^{s̄}  ==  Π R_i^{z_i} · Π pk_i^{c_i·z_i}
@@ -193,7 +199,7 @@ fn bitmap_indices(bitmap: &[u8]) -> impl Iterator<Item = usize> + '_ {
 /// The Fiat–Shamir weight of the `slot`-th signer (by ascending index) given
 /// the transcript digest.  Weights are fixed only after every `R_i` and the
 /// signer set are, so a forger cannot steer the linear combination.
-fn agg_weight(digest: &[u8; 32], slot: usize) -> Scalar {
+fn agg_weight(digest: &Digest, slot: usize) -> Scalar {
     let z = Scalar::from_hash("setupfree/sig/agg-weight", &[digest, &(slot as u64).to_le_bytes()]);
     if z.is_zero() {
         Scalar::one()
@@ -229,13 +235,14 @@ impl AggregateSignature {
         if let Some(&(i, _)) = sorted.iter().find(|(i, _)| *i >= keys.len()) {
             return Err(AggregateError::SignerOutOfRange(i));
         }
+        let mu = message_digest(context, message);
         let mut bad = Vec::new();
         let mut rs = Vec::with_capacity(sorted.len());
         for &(i, sig) in &sorted {
             // R_i = g^{s_i} · pk_i^{-c_i}; the signature is valid iff the
             // challenge recomputed from R_i matches c_i.
             let r = multiexp::fixed_pow_g1(sig.s) * keys[i].0.pow(sig.c.negate());
-            if challenge(&r, &keys[i], context, message) != sig.c {
+            if challenge(&r, &keys[i], &mu) != sig.c {
                 bad.push(i);
             }
             rs.push(r);
@@ -250,7 +257,7 @@ impl AggregateSignature {
         while signers.last() == Some(&0) {
             signers.pop();
         }
-        let digest = Self::transcript_digest(&signers, &rs, context, message);
+        let digest = Self::transcript_digest(&signers, &rs, &mu);
         let mut s = Scalar::zero();
         for (slot, &(_, sig)) in sorted.iter().enumerate() {
             s += agg_weight(&digest, slot) * sig.s;
@@ -258,17 +265,12 @@ impl AggregateSignature {
         Ok(AggregateSignature { signers, rs, s })
     }
 
-    fn transcript_digest(
-        signers: &[u8],
-        rs: &[GroupElement],
-        context: &[u8],
-        message: &[u8],
-    ) -> [u8; 32] {
+    fn transcript_digest(signers: &[u8], rs: &[GroupElement], mu: &Digest) -> Digest {
         let mut r_bytes = Vec::with_capacity(rs.len() * 8);
         for r in rs {
             r_bytes.extend_from_slice(&r.to_bytes());
         }
-        crate::hash::hash_fields("setupfree/sig/agg-bind", &[signers, &r_bytes, context, message])
+        hash_fields("setupfree/sig/agg-bind", &[signers, &r_bytes, mu])
     }
 
     /// Verifies the aggregate against the registered keys with one fixed-base
@@ -281,12 +283,13 @@ impl AggregateSignature {
         if indices.len() != self.rs.len() || indices.last().is_some_and(|&i| i >= keys.len()) {
             return false;
         }
-        let digest = Self::transcript_digest(&self.signers, &self.rs, context, message);
+        let mu = message_digest(context, message);
+        let digest = Self::transcript_digest(&self.signers, &self.rs, &mu);
         let mut bases = Vec::with_capacity(2 * indices.len());
         let mut exps = Vec::with_capacity(2 * indices.len());
         for (slot, (&i, &r)) in indices.iter().zip(&self.rs).enumerate() {
             let z = agg_weight(&digest, slot);
-            let c = challenge(&r, &keys[i], context, message);
+            let c = challenge(&r, &keys[i], &mu);
             bases.push(r);
             exps.push(z);
             bases.push(keys[i].0);
@@ -481,6 +484,62 @@ mod tests {
     fn signature_is_deterministic() {
         let sk = keypair(6);
         assert_eq!(sk.sign(b"c", b"m"), sk.sign(b"c", b"m"));
+    }
+
+    #[test]
+    fn known_answer() {
+        // Pins the signature definition: nonce H(sk, μ), challenge
+        // H(R, pk, μ) with μ = H(ctx, m).  Any change to the hashing changes
+        // these bytes, which were cross-checked against a separate
+        // implementation of the same definition (`c ‖ s`, little-endian).
+        let sk = SigningKey::from_secret(Scalar::from_u64(0x0123_4567_89ab_cdef));
+        let sig = sk.sign(b"setupfree/kat", b"known answer");
+        assert_eq!(
+            setupfree_wire::to_bytes(&sig),
+            [220, 218, 238, 78, 109, 45, 23, 6, 53, 137, 142, 141, 246, 63, 67, 9]
+        );
+        assert!(sk.verifying_key().verify(b"setupfree/kat", b"known answer", &sig));
+    }
+
+    #[test]
+    fn context_and_message_are_framed() {
+        // Moving a byte across the context/message boundary is a different
+        // statement, for single signatures and for certificates alike.
+        let sk = keypair(9);
+        let sig = sk.sign(b"ab", b"c");
+        assert!(sk.verifying_key().verify(b"ab", b"c", &sig));
+        assert!(!sk.verifying_key().verify(b"a", b"bc", &sig));
+        assert!(!sk.verifying_key().verify(b"abc", b"", &sig));
+        let (sks, pks) = quorum_setup(4, 21);
+        let entries = signed_entries(&sks, &[0, 1, 2], b"ab", b"c");
+        let cert = QuorumCert::new(3, &entries, &pks, b"ab", b"c").unwrap();
+        assert!(cert.verify(&pks, b"ab", b"c"));
+        assert!(!cert.verify(&pks, b"a", b"bc"));
+        assert_eq!(
+            QuorumCert::new(3, &entries, &pks, b"a", b"bc"),
+            Err(AggregateError::BadContributors(vec![0, 1, 2]))
+        );
+    }
+
+    #[test]
+    fn quorum_cert_rejects_one_byte_changes() {
+        let (sks, pks) = quorum_setup(7, 22);
+        let ctx = b"session/avss/keystored".to_vec();
+        let msg: Vec<u8> = (0..200u8).collect();
+        let entries = signed_entries(&sks, &[0, 2, 3, 5, 6], &ctx, &msg);
+        let cert = QuorumCert::new(5, &entries, &pks, &ctx, &msg).unwrap();
+        assert!(cert.verify(&pks, &ctx, &msg));
+        for pos in [0, ctx.len() / 2, ctx.len() - 1] {
+            let mut bad = ctx.clone();
+            bad[pos] ^= 1;
+            assert!(!cert.verify(&pks, &bad, &msg), "context byte {pos}");
+        }
+        for pos in [0, msg.len() / 2, msg.len() - 1] {
+            let mut bad = msg.clone();
+            bad[pos] ^= 1;
+            assert!(!cert.verify(&pks, &ctx, &bad), "message byte {pos}");
+        }
+        assert!(!cert.verify(&pks, &ctx, &msg[..msg.len() - 1]));
     }
 
     #[test]

@@ -38,7 +38,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use setupfree_crypto::hash::{sha256, Digest};
 use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
@@ -96,11 +95,11 @@ pub struct Rbc {
     echo_sent: bool,
     ready_sent: bool,
     init_seen: bool,
-    /// For each candidate value (keyed by digest): the distinct parties that
-    /// echoed it, plus the value itself.
-    echoes: BTreeMap<Digest, (BTreeSet<usize>, Vec<u8>)>,
+    /// For each candidate value (the key is its one stored copy): the
+    /// distinct parties that echoed it.
+    echoes: BTreeMap<Vec<u8>, BTreeSet<usize>>,
     /// Same for ready messages.
-    readies: BTreeMap<Digest, (BTreeSet<usize>, Vec<u8>)>,
+    readies: BTreeMap<Vec<u8>, BTreeSet<usize>>,
     output: Option<Vec<u8>>,
 }
 
@@ -157,23 +156,16 @@ impl Rbc {
 
     fn handle_echo(&mut self, from: PartyId, value: Vec<u8>) -> Step<RbcMessage> {
         let quorum = self.quorum();
-        let digest = sha256(&value);
-        let entry = self.echoes.entry(digest).or_insert_with(|| (BTreeSet::new(), value));
-        entry.0.insert(from.index());
-        if entry.0.len() >= quorum && !self.ready_sent {
+        if tally(&mut self.echoes, from, &value) >= quorum && !self.ready_sent {
             self.ready_sent = true;
-            return Step::multicast(RbcMessage::Ready(entry.1.clone()));
+            return Step::multicast(RbcMessage::Ready(value));
         }
         Step::none()
     }
 
     fn handle_ready(&mut self, from: PartyId, value: Vec<u8>) -> Step<RbcMessage> {
         let quorum = self.quorum();
-        let digest = sha256(&value);
-        let entry = self.readies.entry(digest).or_insert_with(|| (BTreeSet::new(), value));
-        entry.0.insert(from.index());
-        let count = entry.0.len();
-        let value = entry.1.clone();
+        let count = tally(&mut self.readies, from, &value);
         let mut step = Step::none();
         if count > self.f && !self.ready_sent {
             self.ready_sent = true;
@@ -183,6 +175,21 @@ impl Rbc {
             self.output = Some(value);
         }
         step
+    }
+}
+
+/// Records `from`'s vote for `value` and returns the value's count of
+/// distinct voters.  The map copies each value once, on its first vote.
+fn tally(votes: &mut BTreeMap<Vec<u8>, BTreeSet<usize>>, from: PartyId, value: &[u8]) -> usize {
+    match votes.get_mut(value) {
+        Some(voters) => {
+            voters.insert(from.index());
+            voters.len()
+        }
+        None => {
+            votes.insert(value.to_vec(), BTreeSet::from([from.index()]));
+            1
+        }
     }
 }
 

@@ -28,7 +28,7 @@ use setupfree_crypto::hash::{sha256, stream_xor};
 use setupfree_crypto::pedersen::PedersenCommitment;
 use setupfree_crypto::poly::{interpolate_at_zero, Polynomial};
 use setupfree_crypto::scalar::Scalar;
-use setupfree_crypto::sig::{QuorumCert, Signature};
+use setupfree_crypto::sig::{MessageDigest, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
@@ -151,6 +151,13 @@ impl Decode for AvssMessage {
     }
 }
 
+/// The signing context of `KeyStored` acknowledgements in session `sid`.
+fn sig_context(sid: &Sid) -> Vec<u8> {
+    let mut ctx = sid.as_bytes().to_vec();
+    ctx.extend_from_slice(b"/avss/keystored");
+    ctx
+}
+
 /// Output of the sharing phase (Alg 1 line 26): the ciphertext plus this
 /// party's (possibly missing) key shares and commitment.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -172,6 +179,9 @@ struct DealerState {
     poly_a: Polynomial,
     poly_b: Polynomial,
     commitment: PedersenCommitment,
+    /// μ of the commitment under the session's signing context, shared by
+    /// every `KeyStored` check and the certificate.
+    mu: MessageDigest,
     signatures: Vec<(PartyId, Signature)>,
     signed_by: BTreeSet<usize>,
     cipher_sent: bool,
@@ -192,6 +202,9 @@ pub struct Avss {
     dealer_state: Option<DealerState>,
     // --- receiving side, sharing phase ---
     recorded_commitment: Option<PedersenCommitment>,
+    /// μ of `recorded_commitment`, set with it: signed once and reused to
+    /// check the dealer's certificate.
+    recorded_mu: Option<MessageDigest>,
     recorded_share_a: Option<Scalar>,
     recorded_share_b: Option<Scalar>,
     /// Commitment + shares accepted after quorum validation (Alg 1 line 19).
@@ -244,6 +257,7 @@ impl Avss {
             secrets,
             dealer_state,
             recorded_commitment: None,
+            recorded_mu: None,
             recorded_share_a: None,
             recorded_share_b: None,
             locked: false,
@@ -284,11 +298,13 @@ impl Avss {
         let poly_a = Polynomial::random(f, &mut rng);
         let poly_b = Polynomial::random(f, &mut rng);
         let commitment = PedersenCommitment::commit(&poly_a, &poly_b);
+        let mu = MessageDigest::new(&sig_context(sid), &setupfree_wire::to_bytes(&commitment));
         DealerState {
             secret,
             poly_a,
             poly_b,
             commitment,
+            mu,
             signatures: Vec::new(),
             signed_by: BTreeSet::new(),
             cipher_sent: false,
@@ -320,12 +336,6 @@ impl Avss {
 
     fn quorum(&self) -> usize {
         self.keyring.quorum()
-    }
-
-    fn sig_context(&self) -> Vec<u8> {
-        let mut ctx = self.sid.as_bytes().to_vec();
-        ctx.extend_from_slice(b"/avss/keystored");
-        ctx
     }
 
     fn encrypt(&self, key: Scalar, plaintext: &[u8]) -> Vec<u8> {
@@ -398,11 +408,12 @@ impl Avss {
         if !commitment.verify_share(point, share_a, share_b) || commitment.degree() != self.f() {
             return Step::none();
         }
-        self.recorded_commitment = Some(commitment.clone());
+        let mu = MessageDigest::new(&sig_context(&self.sid), &setupfree_wire::to_bytes(&commitment));
+        self.recorded_commitment = Some(commitment);
+        self.recorded_mu = Some(mu);
         self.recorded_share_a = Some(share_a);
         self.recorded_share_b = Some(share_b);
-        let signature =
-            self.secrets.sig.sign(&self.sig_context(), &setupfree_wire::to_bytes(&commitment));
+        let signature = self.secrets.sig.sign_digest(&mu);
         let mut step = Step::send(self.dealer, AvssMessage::KeyStored { signature });
         // A Cipher that arrived before the KeyShare can now be validated.
         if let Some((quorum, cmt, cipher)) = self.pending_cipher.take() {
@@ -413,13 +424,11 @@ impl Avss {
 
     fn on_key_stored(&mut self, from: PartyId, signature: Signature) -> Step<AvssMessage> {
         let quorum = self.quorum();
-        let sig_ctx = self.sig_context();
         let Some(ds) = &mut self.dealer_state else { return Step::none() };
         if ds.cipher_sent || ds.signed_by.contains(&from.index()) {
             return Step::none();
         }
-        let msg_bytes = setupfree_wire::to_bytes(&ds.commitment);
-        if !self.keyring.sig_key(from.index()).verify(&sig_ctx, &msg_bytes, &signature) {
+        if !self.keyring.sig_key(from.index()).verify_digest(&ds.mu, &signature) {
             return Step::none();
         }
         ds.signed_by.insert(from.index());
@@ -435,14 +444,8 @@ impl Avss {
                 .map(|(pid, sig)| (pid.index(), sig))
                 .collect();
             let commitment = ds.commitment.clone();
-            let cert = QuorumCert::new(
-                quorum,
-                &entries,
-                self.keyring.sig_key_slice(),
-                &sig_ctx,
-                &msg_bytes,
-            )
-            .expect("individually verified quorum signatures must aggregate");
+            let cert = QuorumCert::new_digest(quorum, &entries, self.keyring.sig_key_slice(), &ds.mu)
+                .expect("individually verified quorum signatures must aggregate");
             let cipher = self.encrypt(key, &secret);
             return Step::multicast(AvssMessage::Cipher { quorum: cert, commitment, cipher });
         }
@@ -478,28 +481,21 @@ impl Avss {
         if self.echo_sent {
             return Step::none();
         }
-        let Some(recorded) = &self.recorded_commitment else { return Step::none() };
-        if *recorded != commitment {
+        let (Some(recorded), Some(mu)) = (&self.recorded_commitment, &self.recorded_mu) else {
             return Step::none();
-        }
-        if !self.verify_quorum(&commitment, &quorum) {
+        };
+        // The certificate's signer bitmap makes duplicates unrepresentable
+        // and its verification pins distinct registered signers ≥ n − f.
+        if *recorded != commitment
+            || quorum.quorum() < self.quorum()
+            || !quorum.verify_digest(self.keyring.sig_key_slice(), mu)
+        {
             return Step::none();
         }
         self.locked = true;
         self.echo_sent = true;
         setupfree_obs::phase(setupfree_obs::Phase::AvssCipher, 0);
         Step::multicast(AvssMessage::Echo { cipher })
-    }
-
-    fn verify_quorum(&self, commitment: &PedersenCommitment, quorum: &QuorumCert) -> bool {
-        // The certificate's signer bitmap makes duplicates unrepresentable
-        // and its verification pins distinct registered signers ≥ n − f.
-        quorum.quorum() >= self.quorum()
-            && quorum.verify(
-                self.keyring.sig_key_slice(),
-                &self.sig_context(),
-                &setupfree_wire::to_bytes(commitment),
-            )
     }
 
     fn on_echo(&mut self, from: PartyId, cipher: Vec<u8>) -> Step<AvssMessage> {

@@ -8,12 +8,16 @@ use setupfree_crypto::pvss::{
     verify_single_dealer_batch, PvssDecryptionKey, PvssParams, PvssScript,
 };
 use setupfree_crypto::{
-    hash::sha256, PedersenCommitment, Polynomial, QuorumCert, Scalar, SigningKey, VrfSecretKey,
+    hash::{hash_block, sha256, BLOCK_PAYLOAD_MAX},
+    PedersenCommitment, Polynomial, QuorumCert, Scalar, SigningKey, VrfSecretKey,
 };
 
 fn bench_hash(c: &mut Criterion) {
     let data = vec![0xabu8; 1024];
     c.bench_function("sha256/1KiB", |b| b.iter(|| sha256(&data)));
+    // One padded 64-byte block: a single compression.
+    let payload = [0xabu8; BLOCK_PAYLOAD_MAX];
+    c.bench_function("sha256/64B", |b| b.iter(|| hash_block(b"bench/\xff", &payload)));
 }
 
 fn bench_group(c: &mut Criterion) {
@@ -65,6 +69,13 @@ fn bench_signatures(c: &mut Criterion) {
     let entries: Vec<(usize, _)> = (0..15).map(|i| (i, sks[i].sign(b"ctx", &message))).collect();
     let cert = QuorumCert::new(15, &entries, &pks, b"ctx", &message).expect("valid quorum");
     c.bench_function("sig/qc_verify_n22_1KiB", |b| b.iter(|| cert.verify(&pks, b"ctx", &message)));
+
+    // A 5-of-7 certificate on a 19-byte message: the shape the benchmark's
+    // crypto calibration times.
+    let message = b"calibration message";
+    let entries: Vec<(usize, _)> = (0..5).map(|i| (i, sks[i].sign(b"ctx", message))).collect();
+    let cert = QuorumCert::new(5, &entries, &pks[..7], b"ctx", message).expect("valid quorum");
+    c.bench_function("sig/qc_verify_n7_19B", |b| b.iter(|| cert.verify(&pks[..7], b"ctx", message)));
 }
 
 fn bench_vrf(c: &mut Criterion) {

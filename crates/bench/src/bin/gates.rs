@@ -17,7 +17,8 @@
 //!    [`ABA_DELIVERY_GOLDENS`] runs [`GOLDEN_REPLAYS`] times in this process
 //!    and every run replays the golden delivery count *exactly*: the
 //!    simulator is deterministic, so the counts are machine-independent and
-//!    any drift means the default all-to-all path changed behaviour.
+//!    any drift means the default all-to-all path changed behaviour.  The
+//!    n = 22 run also replays [`ABA22_COMPRESSIONS_GOLDEN`] exactly.
 //! 3. **Certificate bytes** — ABA n = 22 honest bytes stay within 110 % of
 //!    [`ABA22_CERT_BYTES_BASELINE`] and at least 2× under
 //!    [`ABA22_PRE_AGGREGATION_BYTES`].
@@ -60,6 +61,7 @@ use setupfree_bench::{
     Measurement, SocketMeasurement,
 };
 use setupfree_core::coin::CoreSetMode;
+use setupfree_crypto::hash::compressions;
 use setupfree_crypto::pedersen::PedersenCommitment;
 use setupfree_crypto::pvss::{
     verify_single_dealer_batch, PvssDecryptionKey, PvssParams, PvssScript,
@@ -90,6 +92,12 @@ const ABA_DELIVERY_GOLDENS: [(usize, u64); 2] = [(22, 195_801), (40, 791_847)];
 /// Runs of each golden ABA size in one process: the repeat checks that
 /// process-wide caches warmed by the first run do not steer the second.
 const GOLDEN_REPLAYS: usize = 2;
+
+/// Exact SHA-256 compressions of the n = 22 golden ABA run on the calling
+/// thread, PKI generation included.  It was 370 575 before the signature
+/// oracles took one compression each and parties reused one message digest
+/// per signed object.
+const ABA22_COMPRESSIONS_GOLDEN: u64 = 196_665;
 
 /// ABA n = 22 honest bytes recorded when aggregated certificates landed;
 /// the gate fails on growth past 110 % of it.
@@ -243,7 +251,9 @@ fn simulator_gates(g: &mut Gates) {
         let golden = ABA_DELIVERY_GOLDENS.iter().find(|(gn, _)| *gn == n).map(|&(_, d)| d);
         let runs = if golden.is_some() { GOLDEN_REPLAYS } else { 1 };
         for _ in 0..runs {
+            let hashed_before = compressions();
             let aba = timed("aba", || measure_setupfree_aba(n, seed(ABA_SEED)));
+            let hashed = compressions() - hashed_before;
             g.live("aba", &aba);
             if let Some(golden) = golden {
                 g.check(aba.deliveries == golden, || {
@@ -251,6 +261,10 @@ fn simulator_gates(g: &mut Gates) {
                 });
             }
             if n == 22 {
+                println!("  aba n=22 hashed {hashed} SHA-256 blocks");
+                g.check(hashed == ABA22_COMPRESSIONS_GOLDEN, || {
+                    format!("aba n=22 hashed {hashed} blocks, golden {ABA22_COMPRESSIONS_GOLDEN}")
+                });
                 let bytes = aba.honest_bytes;
                 g.check(bytes <= ABA22_CERT_BYTES_BASELINE + ABA22_CERT_BYTES_BASELINE / 10, || {
                     format!("aba n=22 honest bytes {bytes} > 110 % of {ABA22_CERT_BYTES_BASELINE}")

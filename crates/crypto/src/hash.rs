@@ -5,11 +5,31 @@
 //! The implementation is validated against the NIST test vectors in the unit
 //! tests below.
 
+use std::cell::Cell;
+
 /// Digest size in bytes.
 pub const DIGEST_LEN: usize = 32;
 
 /// A 256-bit digest.
 pub type Digest = [u8; DIGEST_LEN];
+
+/// Length of a [`hash_block`] tag.
+pub const BLOCK_TAG_LEN: usize = 7;
+
+/// The largest [`hash_block`] payload: tag, payload, the `0x80` pad byte
+/// and the 8-byte length fill exactly one 64-byte block.
+pub const BLOCK_PAYLOAD_MAX: usize = 64 - BLOCK_TAG_LEN - 1 - 8;
+
+thread_local! {
+    static COMPRESSIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// SHA-256 compressions run so far on the calling thread.  Read it before
+/// and after an operation to count what the operation hashed; the op-count
+/// goldens in the tests and the `gates` binary pin such differences.
+pub fn compressions() -> u64 {
+    COMPRESSIONS.with(Cell::get)
+}
 
 const K: [u32; 64] = [
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1, 0x923f82a4, 0xab1c5ed5,
@@ -69,16 +89,13 @@ impl Sha256 {
             self.buffer_len += take;
             data = &data[take..];
             if self.buffer_len == 64 {
-                let block = self.buffer;
-                self.compress(&block);
+                compress(&mut self.state, &self.buffer);
                 self.buffer_len = 0;
             }
         }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
+        while let Some((block, rest)) = data.split_first_chunk::<64>() {
+            compress(&mut self.state, block);
+            data = rest;
         }
         if !data.is_empty() {
             self.buffer[..data.len()].copy_from_slice(data);
@@ -103,53 +120,78 @@ impl Sha256 {
         block[self.buffer_len] = 0x80;
         block[self.buffer_len + 1..].fill(0);
         if self.buffer_len >= 56 {
-            self.compress(&block);
+            compress(&mut self.state, &block);
             block = [0u8; 64];
         }
         block[56..].copy_from_slice(&bit_len.to_be_bytes());
-        self.compress(&block);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..(i + 1) * 4].copy_from_slice(&word.to_be_bytes());
-        }
-        out
+        compress(&mut self.state, &block);
+        digest(&self.state)
     }
+}
 
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..64 {
-            let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
-            let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
-            w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
-        for i in 0..64 {
-            let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
-            let ch = (e & f) ^ ((!e) & g);
-            let t1 = h.wrapping_add(s1).wrapping_add(ch).wrapping_add(K[i]).wrapping_add(w[i]);
-            let s0 = a.rotate_right(2) ^ a.rotate_right(13) ^ a.rotate_right(22);
-            let maj = (a & b) ^ (a & c) ^ (b & c);
-            let t2 = s0.wrapping_add(maj);
-            h = g;
-            g = f;
-            f = e;
-            e = d.wrapping_add(t1);
-            d = c;
-            c = b;
-            b = a;
-            a = t1.wrapping_add(t2);
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+/// The big-endian serialization of a final hash state.
+fn digest(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    out
+}
+
+/// One SHA-256 compression of `block` into `state`.
+///
+/// The 64 rounds run eight at a time with the working variables renamed
+/// instead of shifted, and the message schedule is a rolling window of 16
+/// words: round `i ≥ 16` overwrites `w[i mod 16]` with `W_i` in place.
+fn compress(state: &mut [u32; 8], block: &[u8; 64]) {
+    COMPRESSIONS.with(|c| c.set(c.get() + 1));
+    let mut w = [0u32; 16];
+    for (word, bytes) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *word = u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
+    macro_rules! round {
+        ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $g:ident, $h:ident, $i:expr, $w:expr) => {
+            let t1 = $h
+                .wrapping_add($e.rotate_right(6) ^ $e.rotate_right(11) ^ $e.rotate_right(25))
+                .wrapping_add($g ^ ($e & ($f ^ $g)))
+                .wrapping_add(K[$i])
+                .wrapping_add($w);
+            let t2 = ($a.rotate_right(2) ^ $a.rotate_right(13) ^ $a.rotate_right(22))
+                .wrapping_add(($a & $b) | ($c & ($a | $b)));
+            $d = $d.wrapping_add(t1);
+            $h = t1.wrapping_add(t2);
+        };
+    }
+    macro_rules! eight {
+        ($base:expr, $w:ident) => {
+            round!(a, b, c, d, e, f, g, h, $base, $w($base));
+            round!(h, a, b, c, d, e, f, g, $base + 1, $w($base + 1));
+            round!(g, h, a, b, c, d, e, f, $base + 2, $w($base + 2));
+            round!(f, g, h, a, b, c, d, e, $base + 3, $w($base + 3));
+            round!(e, f, g, h, a, b, c, d, $base + 4, $w($base + 4));
+            round!(d, e, f, g, h, a, b, c, $base + 5, $w($base + 5));
+            round!(c, d, e, f, g, h, a, b, $base + 6, $w($base + 6));
+            round!(b, c, d, e, f, g, h, a, $base + 7, $w($base + 7));
+        };
+    }
+    let message = |i: usize| w[i];
+    eight!(0, message);
+    eight!(8, message);
+    for base in (16..64).step_by(8) {
+        let mut schedule = |i: usize| {
+            let w15 = w[(i + 1) & 15];
+            let w2 = w[(i + 14) & 15];
+            let s0 = w15.rotate_right(7) ^ w15.rotate_right(18) ^ (w15 >> 3);
+            let s1 = w2.rotate_right(17) ^ w2.rotate_right(19) ^ (w2 >> 10);
+            let next = w[i & 15].wrapping_add(s0).wrapping_add(w[(i + 9) & 15]).wrapping_add(s1);
+            w[i & 15] = next;
+            next
+        };
+        eight!(base, schedule);
+    }
+    for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+        *s = s.wrapping_add(v);
     }
 }
 
@@ -175,14 +217,52 @@ pub fn hash_fields(domain: &str, fields: &[&[u8]]) -> Digest {
     h.finalize()
 }
 
+/// SHA-256 of `tag ‖ payload` in exactly one compression, for the
+/// fixed-size random-oracle inputs of the signature hot path (nonce,
+/// challenge, aggregation weights).
+///
+/// Byte 6 of every tag is `0xff`, which keeps these inputs disjoint from
+/// [`hash_fields`] inputs: a block input is at most 55 bytes, so a
+/// `hash_fields` input equal to it would frame a domain of at most 39
+/// bytes, whose 8-byte little-endian length prefix has byte 6 zero.
+///
+/// # Panics
+///
+/// Panics if `tag[6] != 0xff` or the payload exceeds
+/// [`BLOCK_PAYLOAD_MAX`] bytes.
+pub fn hash_block(tag: &[u8; BLOCK_TAG_LEN], payload: &[u8]) -> Digest {
+    assert_eq!(tag[BLOCK_TAG_LEN - 1], 0xff, "hash_block tags end in 0xff");
+    assert!(payload.len() <= BLOCK_PAYLOAD_MAX, "hash_block payload of {} bytes", payload.len());
+    let len = BLOCK_TAG_LEN + payload.len();
+    let mut block = [0u8; 64];
+    block[..BLOCK_TAG_LEN].copy_from_slice(tag);
+    block[BLOCK_TAG_LEN..len].copy_from_slice(payload);
+    block[len] = 0x80;
+    block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+    let mut state = H0;
+    compress(&mut state, &block);
+    digest(&state)
+}
+
 /// Expands `(domain, seed)` into `len` pseudorandom bytes using SHA-256 in
-/// counter mode.  Used as the symmetric stream cipher for the AVSS ciphertext
-/// and anywhere a deterministic expansion of a short key is required.
+/// counter mode: block `i` is `hash_fields(domain, [seed, i as u64])`.  Used
+/// as the symmetric stream cipher for the AVSS ciphertext and anywhere a
+/// deterministic expansion of a short key is required.
 pub fn prg(domain: &str, seed: &[u8], len: usize) -> Vec<u8> {
+    // Absorb everything before the counter bytes once — the framed domain,
+    // the field count, the framed seed and the counter's length prefix —
+    // and finish a clone of that state per block.
+    let mut prefix = Sha256::new();
+    prefix.update_framed(domain.as_bytes());
+    prefix.update(&2u64.to_le_bytes());
+    prefix.update_framed(seed);
+    prefix.update(&8u64.to_le_bytes());
     let mut out = Vec::with_capacity(len);
     let mut counter: u64 = 0;
     while out.len() < len {
-        let block = hash_fields(domain, &[seed, &counter.to_le_bytes()]);
+        let mut h = prefix.clone();
+        h.update(&counter.to_le_bytes());
+        let block = h.finalize();
         let take = (len - out.len()).min(DIGEST_LEN);
         out.extend_from_slice(&block[..take]);
         counter += 1;
@@ -298,6 +378,88 @@ mod tests {
         assert_eq!(&a[..40], &c[..]);
         let d = prg("prg", b"other", 100);
         assert_ne!(a, d);
+    }
+
+    /// The exact bytes [`hash_fields`] feeds to SHA-256.
+    fn fields_input(domain: &str, fields: &[&[u8]]) -> Vec<u8> {
+        let mut input = (domain.len() as u64).to_le_bytes().to_vec();
+        input.extend_from_slice(domain.as_bytes());
+        input.extend_from_slice(&(fields.len() as u64).to_le_bytes());
+        for f in fields {
+            input.extend_from_slice(&(f.len() as u64).to_le_bytes());
+            input.extend_from_slice(f);
+        }
+        input
+    }
+
+    #[test]
+    fn hash_block_is_sha256_of_tag_and_payload_in_one_compression() {
+        let tag = *b"test/t\xff";
+        let data: Vec<u8> = (0..BLOCK_PAYLOAD_MAX as u8).collect();
+        for len in 0..=BLOCK_PAYLOAD_MAX {
+            let mut input = tag.to_vec();
+            input.extend_from_slice(&data[..len]);
+            let before = compressions();
+            let digest = hash_block(&tag, &data[..len]);
+            assert_eq!(compressions() - before, 1, "payload length {len}");
+            assert_eq!(digest, sha256(&input), "payload length {len}");
+        }
+        // One byte more and the streaming hasher needs a second block.
+        let before = compressions();
+        sha256(&[0u8; BLOCK_TAG_LEN + BLOCK_PAYLOAD_MAX + 1]);
+        assert_eq!(compressions() - before, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "payload of 49 bytes")]
+    fn hash_block_rejects_long_payloads() {
+        hash_block(b"test/t\xff", &[0u8; BLOCK_PAYLOAD_MAX + 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tags end in 0xff")]
+    fn hash_block_rejects_tags_without_the_marker() {
+        hash_block(b"test/t0", b"");
+    }
+
+    #[test]
+    fn block_inputs_never_equal_field_inputs() {
+        // A block input is at most 55 bytes and has 0xff at byte 6.  Any
+        // `hash_fields` input of at most 55 bytes frames a short domain, so
+        // its byte 6 — the sixth byte of the domain's length — is zero.
+        let max = BLOCK_TAG_LEN + BLOCK_PAYLOAD_MAX;
+        let field_sets: [&[&[u8]]; 4] = [&[], &[b""], &[b"ab", b"c"], &[&[0xff; 7]]];
+        for domain_len in 0..=max {
+            let domain = "d".repeat(domain_len);
+            for fields in field_sets {
+                let input = fields_input(&domain, fields);
+                assert_eq!(sha256(&input), hash_fields(&domain, fields));
+                if input.len() <= max {
+                    assert_eq!(input[BLOCK_TAG_LEN - 1], 0, "domain length {domain_len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prg_matches_per_block_hash_fields() {
+        // The reference is the definition: block i is hash_fields(domain,
+        // [seed, i]).  The absorbed prefix is 35 + |seed| bytes, so seeds of
+        // 28..=30 bytes put it on both sides of the 64-byte block boundary,
+        // and 12 or 13 bytes put the counter's padding on both sides of it.
+        let reference = |domain: &str, seed: &[u8], len: usize| -> Vec<u8> {
+            (0u64..)
+                .flat_map(|i| hash_fields(domain, &[seed, &i.to_le_bytes()]))
+                .take(len)
+                .collect()
+        };
+        let bytes: Vec<u8> = (0..=255).collect();
+        for seed_len in [0, 1, 12, 13, 28, 29, 30, 64, 100, 200] {
+            let seed = &bytes[..seed_len];
+            for len in 0..200 {
+                assert_eq!(prg("prg", seed, len), reference("prg", seed, len), "seed {seed_len} B, {len} B");
+            }
+        }
     }
 
     #[test]

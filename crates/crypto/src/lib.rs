@@ -50,5 +50,7 @@ pub use pedersen::PedersenCommitment;
 pub use poly::Polynomial;
 pub use pvss::{PvssParams, PvssScript, PvssSecret, PvssShare};
 pub use scalar::Scalar;
-pub use sig::{AggregateError, AggregateSignature, QuorumCert, Signature, SigningKey, VerifyingKey};
+pub use sig::{
+    AggregateError, AggregateSignature, MessageDigest, QuorumCert, Signature, SigningKey, VerifyingKey,
+};
 pub use vrf::{VrfOutput, VrfProof, VrfPublicKey, VrfSecretKey};

@@ -101,9 +101,13 @@ impl Scalar {
     /// (used for Fiat–Shamir challenges and derandomized nonces).
     pub fn from_hash(domain: &str, fields: &[&[u8]]) -> Self {
         let digest = hash_fields(domain, fields);
-        // Reduce 128 bits mod q: the bias is < 2^-60, negligible for our use.
-        let wide = u128::from_le_bytes(digest[..16].try_into().expect("16 bytes"));
-        Scalar((wide % Self::modulus() as u128) as u64)
+        Self::from_le_128(digest[..16].try_into().expect("16 bytes"))
+    }
+
+    /// Reduces a 128-bit little-endian integer mod `q`: the bias is
+    /// < 2^-60, negligible for our use.
+    pub(crate) fn from_le_128(bytes: [u8; 16]) -> Self {
+        Scalar((u128::from_le_bytes(bytes) % Self::modulus() as u128) as u64)
     }
 
     /// Field addition inverse.

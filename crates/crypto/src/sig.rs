@@ -14,12 +14,19 @@ use rand::Rng;
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
 
 use crate::group::GroupElement;
-use crate::hash::{hash_fields, Digest};
+use crate::hash::{hash_block, hash_fields, Digest, BLOCK_PAYLOAD_MAX, BLOCK_TAG_LEN, DIGEST_LEN};
 use crate::multiexp;
 use crate::scalar::Scalar;
 
 /// Serialized signature length in bytes (challenge + response scalars).
 pub const SIGNATURE_LEN: usize = 16;
+
+/// [`hash_block`] tags of the one-compression random oracles: the nonce
+/// `H(sk ‖ μ)`, the challenge `H(R ‖ pk ‖ μ)` and the aggregation-weight
+/// expansion `H(agg-bind digest ‖ j)`.
+const NONCE_TAG: &[u8; BLOCK_TAG_LEN] = b"sig/nk\xff";
+const CHALLENGE_TAG: &[u8; BLOCK_TAG_LEN] = b"sig/ch\xff";
+const WEIGHT_TAG: &[u8; BLOCK_TAG_LEN] = b"sig/zw\xff";
 
 /// A Schnorr signing key.
 #[derive(Clone)]
@@ -78,13 +85,17 @@ impl SigningKey {
     /// Signs `message` under the given domain-separation `context`
     /// (the paper's `Sign^ID_i(m)`).
     pub fn sign(&self, context: &[u8], message: &[u8]) -> Signature {
-        let mu = message_digest(context, message);
-        // Derandomized nonce: k = H(sk, μ).  Deterministic signing keeps the
+        self.sign_digest(&MessageDigest::new(context, message))
+    }
+
+    /// Signs the statement `mu` stands for; equal to [`SigningKey::sign`]
+    /// on the `(context, message)` it was computed from.
+    pub fn sign_digest(&self, mu: &MessageDigest) -> Signature {
+        // Derandomized nonce: k = H(sk ‖ μ).  Deterministic signing keeps the
         // protocol state machines reproducible under a fixed seed.
-        let k = Scalar::from_hash("setupfree/sig/nonce", &[&self.sk.to_bytes(), &mu]);
-        let k = if k.is_zero() { Scalar::one() } else { k };
+        let k = nonzero(oracle_scalar(NONCE_TAG, &[&self.sk.to_bytes(), &mu.0]));
         let r = multiexp::fixed_pow_g1(k);
-        let c = challenge(&r, &self.pk, &mu);
+        let c = challenge(&r, &self.pk, mu);
         let s = k + c * self.sk;
         Signature { c, s }
     }
@@ -93,12 +104,17 @@ impl SigningKey {
 impl VerifyingKey {
     /// Verifies `sig` on `(context, message)`.
     pub fn verify(&self, context: &[u8], message: &[u8], sig: &Signature) -> bool {
-        // R' = g^s * pk^{-c}; valid iff H(R', pk, μ) == c.  The g-part
+        self.verify_digest(&MessageDigest::new(context, message), sig)
+    }
+
+    /// Verifies `sig` on the statement `mu` stands for.
+    pub fn verify_digest(&self, mu: &MessageDigest, sig: &Signature) -> bool {
+        // R' = g^s * pk^{-c}; valid iff H(R' ‖ pk ‖ μ) == c.  The g-part
         // uses the fixed-base table and pk^{-c} is a single exponentiation
         // with the negated scalar (order-q elements satisfy x^{-c} = x^{q-c}),
         // avoiding the full field inversion the naive form would pay.
         let r = multiexp::fixed_pow_g1(sig.s) * self.0.pow(sig.c.negate());
-        challenge(&r, self, &message_digest(context, message)) == sig.c
+        challenge(&r, self, mu) == sig.c
     }
 
     /// The underlying group element.
@@ -107,17 +123,48 @@ impl VerifyingKey {
     }
 }
 
-/// The digest `μ = H(ctx, m)` that the nonce, the challenge and the
-/// aggregation transcript bind instead of the raw bytes.  Each operation
-/// hashes the message once, so checking a `k`-signer certificate costs
-/// `O(k + |m|)` hashing rather than `O(k·|m|)`.
-fn message_digest(context: &[u8], message: &[u8]) -> Digest {
-    hash_fields("setupfree/sig/message", &[context, message])
+/// The digest `μ = H(ctx, m)` of a signed statement, which the nonce, the
+/// challenge and the aggregation transcript bind instead of the raw bytes.
+///
+/// Each `(context, message)` method hashes its message into a fresh `μ`,
+/// so a certificate check costs `O(k + |m|)` hashing rather than
+/// `O(k·|m|)`.  A party that signs, verifies or certifies one statement
+/// several times computes `μ` once and passes it to the `*_digest`
+/// methods instead.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MessageDigest(Digest);
+
+impl MessageDigest {
+    /// Hashes the statement `message` under `context`.
+    pub fn new(context: &[u8], message: &[u8]) -> Self {
+        MessageDigest(hash_fields("setupfree/sig/message", &[context, message]))
+    }
 }
 
-/// The Fiat–Shamir challenge `c = H(R, pk, μ)`.
-fn challenge(r: &GroupElement, pk: &VerifyingKey, mu: &Digest) -> Scalar {
-    Scalar::from_hash("setupfree/sig/challenge", &[&r.to_bytes(), &pk.0.to_bytes(), mu])
+/// `H(tag ‖ parts)` in one compression, reduced to a scalar.
+fn oracle_scalar(tag: &[u8; BLOCK_TAG_LEN], parts: &[&[u8]]) -> Scalar {
+    let mut payload = [0u8; BLOCK_PAYLOAD_MAX];
+    let mut len = 0;
+    for part in parts {
+        payload[len..len + part.len()].copy_from_slice(part);
+        len += part.len();
+    }
+    let digest = hash_block(tag, &payload[..len]);
+    Scalar::from_le_128(digest[..16].try_into().expect("16 bytes"))
+}
+
+/// Maps the (negligibly likely) zero scalar to one, for nonces and weights.
+fn nonzero(x: Scalar) -> Scalar {
+    if x.is_zero() {
+        Scalar::one()
+    } else {
+        x
+    }
+}
+
+/// The Fiat–Shamir challenge `c = H(R ‖ pk ‖ μ)`.
+fn challenge(r: &GroupElement, pk: &VerifyingKey, mu: &MessageDigest) -> Scalar {
+    oracle_scalar(CHALLENGE_TAG, &[&r.to_bytes(), &pk.0.to_bytes(), &mu.0])
 }
 
 // ---------------------------------------------------------------------------
@@ -196,16 +243,26 @@ fn bitmap_indices(bitmap: &[u8]) -> impl Iterator<Item = usize> + '_ {
     })
 }
 
-/// The Fiat–Shamir weight of the `slot`-th signer (by ascending index) given
-/// the transcript digest.  Weights are fixed only after every `R_i` and the
-/// signer set are, so a forger cannot steer the linear combination.
-fn agg_weight(digest: &Digest, slot: usize) -> Scalar {
-    let z = Scalar::from_hash("setupfree/sig/agg-weight", &[digest, &(slot as u64).to_le_bytes()]);
-    if z.is_zero() {
-        Scalar::one()
-    } else {
-        z
-    }
+/// The Fiat–Shamir weights of `k` signers (by ascending index) given the
+/// transcript digest: block `j = H(digest ‖ j)` of one expansion yields the
+/// weights of slots `2j` and `2j + 1` from its two 128-bit halves, so `k`
+/// weights cost `⌈k/2⌉` compressions.  Weights are fixed only after every
+/// `R_i` and the signer set are, so a forger cannot steer the linear
+/// combination.
+fn agg_weights(digest: &Digest, k: usize) -> Vec<Scalar> {
+    let mut payload = [0u8; DIGEST_LEN + 8];
+    payload[..DIGEST_LEN].copy_from_slice(digest);
+    (0..k.div_ceil(2) as u64)
+        .flat_map(|j| {
+            payload[DIGEST_LEN..].copy_from_slice(&j.to_le_bytes());
+            let block = hash_block(WEIGHT_TAG, &payload);
+            let half = |i: usize| {
+                nonzero(Scalar::from_le_128(block[16 * i..16 * (i + 1)].try_into().expect("16 bytes")))
+            };
+            [half(0), half(1)]
+        })
+        .take(k)
+        .collect()
 }
 
 impl AggregateSignature {
@@ -222,6 +279,14 @@ impl AggregateSignature {
         context: &[u8],
         message: &[u8],
     ) -> Result<Self, AggregateError> {
+        Self::aggregate_digest(entries, keys, &MessageDigest::new(context, message))
+    }
+
+    fn aggregate_digest(
+        entries: &[(usize, Signature)],
+        keys: &[VerifyingKey],
+        mu: &MessageDigest,
+    ) -> Result<Self, AggregateError> {
         if entries.is_empty() {
             return Err(AggregateError::Empty);
         }
@@ -235,14 +300,13 @@ impl AggregateSignature {
         if let Some(&(i, _)) = sorted.iter().find(|(i, _)| *i >= keys.len()) {
             return Err(AggregateError::SignerOutOfRange(i));
         }
-        let mu = message_digest(context, message);
         let mut bad = Vec::new();
         let mut rs = Vec::with_capacity(sorted.len());
         for &(i, sig) in &sorted {
             // R_i = g^{s_i} · pk_i^{-c_i}; the signature is valid iff the
             // challenge recomputed from R_i matches c_i.
             let r = multiexp::fixed_pow_g1(sig.s) * keys[i].0.pow(sig.c.negate());
-            if challenge(&r, &keys[i], &mu) != sig.c {
+            if challenge(&r, &keys[i], mu) != sig.c {
                 bad.push(i);
             }
             rs.push(r);
@@ -257,25 +321,27 @@ impl AggregateSignature {
         while signers.last() == Some(&0) {
             signers.pop();
         }
-        let digest = Self::transcript_digest(&signers, &rs, &mu);
-        let mut s = Scalar::zero();
-        for (slot, &(_, sig)) in sorted.iter().enumerate() {
-            s += agg_weight(&digest, slot) * sig.s;
-        }
+        let digest = Self::transcript_digest(&signers, &rs, mu);
+        let weights = agg_weights(&digest, sorted.len());
+        let s = sorted.iter().zip(weights).map(|(&(_, sig), z)| z * sig.s).sum();
         Ok(AggregateSignature { signers, rs, s })
     }
 
-    fn transcript_digest(signers: &[u8], rs: &[GroupElement], mu: &Digest) -> Digest {
+    fn transcript_digest(signers: &[u8], rs: &[GroupElement], mu: &MessageDigest) -> Digest {
         let mut r_bytes = Vec::with_capacity(rs.len() * 8);
         for r in rs {
             r_bytes.extend_from_slice(&r.to_bytes());
         }
-        hash_fields("setupfree/sig/agg-bind", &[signers, &r_bytes, mu])
+        hash_fields("setupfree/sig/agg-bind", &[signers, &r_bytes, &mu.0])
     }
 
     /// Verifies the aggregate against the registered keys with one fixed-base
     /// exponentiation and a single multi-exponentiation over `2k` bases.
     pub fn verify(&self, keys: &[VerifyingKey], context: &[u8], message: &[u8]) -> bool {
+        self.verify_digest(keys, &MessageDigest::new(context, message))
+    }
+
+    fn verify_digest(&self, keys: &[VerifyingKey], mu: &MessageDigest) -> bool {
         if self.rs.is_empty() || self.signers.last() == Some(&0) {
             return false;
         }
@@ -283,13 +349,12 @@ impl AggregateSignature {
         if indices.len() != self.rs.len() || indices.last().is_some_and(|&i| i >= keys.len()) {
             return false;
         }
-        let mu = message_digest(context, message);
-        let digest = Self::transcript_digest(&self.signers, &self.rs, &mu);
+        let digest = Self::transcript_digest(&self.signers, &self.rs, mu);
+        let weights = agg_weights(&digest, indices.len());
         let mut bases = Vec::with_capacity(2 * indices.len());
         let mut exps = Vec::with_capacity(2 * indices.len());
-        for (slot, (&i, &r)) in indices.iter().zip(&self.rs).enumerate() {
-            let z = agg_weight(&digest, slot);
-            let c = challenge(&r, &keys[i], &mu);
+        for ((&i, &r), z) in indices.iter().zip(&self.rs).zip(weights) {
+            let c = challenge(&r, &keys[i], mu);
             bases.push(r);
             exps.push(z);
             bases.push(keys[i].0);
@@ -357,10 +422,20 @@ impl QuorumCert {
         context: &[u8],
         message: &[u8],
     ) -> Result<Self, AggregateError> {
+        Self::new_digest(quorum, entries, keys, &MessageDigest::new(context, message))
+    }
+
+    /// [`QuorumCert::new`] on the statement `mu` stands for.
+    pub fn new_digest(
+        quorum: usize,
+        entries: &[(usize, Signature)],
+        keys: &[VerifyingKey],
+        mu: &MessageDigest,
+    ) -> Result<Self, AggregateError> {
         if entries.len() < quorum {
             return Err(AggregateError::BelowQuorum { have: entries.len(), need: quorum });
         }
-        let agg = AggregateSignature::aggregate(entries, keys, context, message)?;
+        let agg = AggregateSignature::aggregate_digest(entries, keys, mu)?;
         Ok(QuorumCert { quorum: quorum as u32, agg })
     }
 
@@ -382,7 +457,12 @@ impl QuorumCert {
     /// Verifies the certificate: at least `quorum` distinct registered
     /// signers and a valid aggregate on `(context, message)`.
     pub fn verify(&self, keys: &[VerifyingKey], context: &[u8], message: &[u8]) -> bool {
-        self.agg.signer_count() >= self.quorum() && self.agg.verify(keys, context, message)
+        self.verify_digest(keys, &MessageDigest::new(context, message))
+    }
+
+    /// [`QuorumCert::verify`] on the statement `mu` stands for.
+    pub fn verify_digest(&self, keys: &[VerifyingKey], mu: &MessageDigest) -> bool {
+        self.agg.signer_count() >= self.quorum() && self.agg.verify_digest(keys, mu)
     }
 
     /// Verifies the certificate against a committee: every signer must be in
@@ -488,17 +568,96 @@ mod tests {
 
     #[test]
     fn known_answer() {
-        // Pins the signature definition: nonce H(sk, μ), challenge
-        // H(R, pk, μ) with μ = H(ctx, m).  Any change to the hashing changes
-        // these bytes, which were cross-checked against a separate
-        // implementation of the same definition (`c ‖ s`, little-endian).
+        // Pins the signature definition: nonce SHA-256("sig/nk" 0xff ‖ sk
+        // ‖ μ), challenge SHA-256("sig/ch" 0xff ‖ R ‖ pk ‖ μ), each reduced
+        // from its first 16 bytes, with μ = H(ctx, m).  Any change to the
+        // hashing changes these bytes, which were cross-checked against a
+        // separate implementation of the same definition over an
+        // independent SHA-256 (`c ‖ s`, little-endian).
         let sk = SigningKey::from_secret(Scalar::from_u64(0x0123_4567_89ab_cdef));
         let sig = sk.sign(b"setupfree/kat", b"known answer");
         assert_eq!(
             setupfree_wire::to_bytes(&sig),
-            [220, 218, 238, 78, 109, 45, 23, 6, 53, 137, 142, 141, 246, 63, 67, 9]
+            [190, 210, 80, 25, 112, 127, 128, 17, 146, 161, 5, 245, 197, 4, 54, 12]
         );
         assert!(sk.verifying_key().verify(b"setupfree/kat", b"known answer", &sig));
+    }
+
+    /// SHA-256 compressions `op` runs on this thread.
+    fn compressions_of<T>(op: impl FnOnce() -> T) -> u64 {
+        let before = crate::hash::compressions();
+        std::hint::black_box(op());
+        crate::hash::compressions() - before
+    }
+
+    /// Blocks SHA-256 pads an `len`-byte input to.
+    fn blocks(len: usize) -> u64 {
+        (len + 9).div_ceil(64) as u64
+    }
+
+    #[test]
+    fn hashing_cost_per_operation() {
+        // Op-count goldens: μ, then one compression each for the nonce and
+        // the challenge of a signature, the challenge of a verification,
+        // and per certificate check the agg-bind transcript, ⌈k/2⌉ weight
+        // blocks and k challenges.
+        let (sks, pks) = quorum_setup(7, 23);
+        let (ctx, msg) = (b"session/avss/keystored".as_slice(), [7u8; 19]);
+        let entries = signed_entries(&sks, &[0, 2, 3, 5, 6], ctx, &msg);
+        let cert = QuorumCert::new(5, &entries, &pks, ctx, &msg).unwrap();
+        // "setupfree/sig/message" framed, the field count, two framed fields.
+        let mu = blocks(8 + 21 + 8 + 8 + ctx.len() + 8 + msg.len());
+        assert_eq!(mu, 2);
+        assert_eq!(compressions_of(|| MessageDigest::new(ctx, &msg)), mu);
+        assert_eq!(compressions_of(|| sks[1].sign(ctx, &msg)), mu + 2);
+        assert_eq!(compressions_of(|| pks[0].verify(ctx, &msg, &entries[0].1)), mu + 1);
+        // "setupfree/sig/agg-bind" framed, the count, a 1-byte bitmap, five
+        // 8-byte commitments and μ.
+        let agg_bind = blocks(8 + 22 + 8 + 8 + 1 + 8 + 5 * 8 + 8 + 32);
+        assert_eq!(agg_bind, 3);
+        assert_eq!(compressions_of(|| cert.verify(&pks, ctx, &msg)), mu + agg_bind + 3 + 5);
+        let digest = MessageDigest::new(ctx, &msg);
+        assert_eq!(compressions_of(|| sks[1].sign_digest(&digest)), 2);
+        assert_eq!(compressions_of(|| pks[0].verify_digest(&digest, &entries[0].1)), 1);
+        assert_eq!(compressions_of(|| cert.verify_digest(&pks, &digest)), agg_bind + 3 + 5);
+    }
+
+    #[test]
+    fn digest_methods_match_message_methods() {
+        let (sks, pks) = quorum_setup(4, 24);
+        let digest = MessageDigest::new(b"ctx", b"msg");
+        let sig = sks[0].sign(b"ctx", b"msg");
+        assert_eq!(sks[0].sign_digest(&digest), sig);
+        assert!(pks[0].verify_digest(&digest, &sig));
+        assert!(!pks[0].verify_digest(&MessageDigest::new(b"ctx", b"msh"), &sig));
+        let entries = signed_entries(&sks, &[0, 1, 3], b"ctx", b"msg");
+        let cert = QuorumCert::new_digest(3, &entries, &pks, &digest).unwrap();
+        assert_eq!(cert, QuorumCert::new(3, &entries, &pks, b"ctx", b"msg").unwrap());
+        assert!(cert.verify_digest(&pks, &digest));
+        assert!(!cert.verify_digest(&pks, &MessageDigest::new(b"ctx", b"msh")));
+    }
+
+    #[test]
+    fn weights_are_one_block_expansion() {
+        // Reference: block j = SHA-256("sig/zw" 0xff ‖ digest ‖ j as u64 LE)
+        // on the streaming hasher; slot 2j reduces bytes 0..16, slot 2j + 1
+        // bytes 16..32.
+        let digest: Digest = std::array::from_fn(|i| (i * 7 + 3) as u8);
+        for k in 1..=9 {
+            let expected: Vec<Scalar> = (0..k)
+                .map(|slot| {
+                    let mut input = WEIGHT_TAG.to_vec();
+                    input.extend_from_slice(&digest);
+                    input.extend_from_slice(&((slot / 2) as u64).to_le_bytes());
+                    let block = crate::hash::sha256(&input);
+                    let half = &block[16 * (slot % 2)..16 * (slot % 2 + 1)];
+                    nonzero(Scalar::from_le_128(half.try_into().unwrap()))
+                })
+                .collect();
+            let mut weights = Vec::new();
+            assert_eq!(compressions_of(|| weights = agg_weights(&digest, k)), k.div_ceil(2) as u64);
+            assert_eq!(weights, expected, "k = {k}");
+        }
     }
 
     #[test]

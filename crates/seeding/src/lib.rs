@@ -28,7 +28,7 @@ use setupfree_crypto::pvss::{
     verify_single_dealer_batch, PvssParams, PvssScript, PvssSecret, PvssShare,
 };
 use setupfree_crypto::scalar::Scalar;
-use setupfree_crypto::sig::{QuorumCert, Signature};
+use setupfree_crypto::sig::{MessageDigest, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
@@ -154,7 +154,9 @@ struct LeaderState {
     pending: Vec<(usize, PvssScript)>,
     contributions: Vec<PvssScript>,
     contributed_by: BTreeSet<usize>,
-    aggregated: Option<PvssScript>,
+    /// The aggregated script and its μ under the session's signing context,
+    /// shared by every `AggPvssStored` check and the certificate.
+    aggregated: Option<(PvssScript, MessageDigest)>,
     agg_sent: bool,
     stored_sigs: Vec<(usize, Signature)>,
     stored_by: BTreeSet<usize>,
@@ -179,6 +181,9 @@ pub struct Seeding {
     leader_state: Option<LeaderState>,
     /// The aggregated script this party recorded and signed (line 5).
     recorded: Option<PvssScript>,
+    /// μ of `recorded`, set with it: signed once and reused to check the
+    /// leader's certificates.
+    recorded_mu: Option<MessageDigest>,
     /// Whether we have seen a valid commitment quorum for the recorded script.
     committed: bool,
     share_sent: bool,
@@ -210,6 +215,7 @@ impl Seeding {
             params,
             leader_state,
             recorded: None,
+            recorded_mu: None,
             committed: false,
             share_sent: false,
             echo_sent: false,
@@ -242,10 +248,11 @@ impl Seeding {
         self.keyring.quorum()
     }
 
-    fn sig_context(&self) -> Vec<u8> {
-        let mut ctx = self.sid.as_bytes().to_vec();
+    /// μ of `script` under the session's signing context.
+    fn script_digest(sid: &Sid, script: &PvssScript) -> MessageDigest {
+        let mut ctx = sid.as_bytes().to_vec();
         ctx.extend_from_slice(b"/seeding/agg");
-        ctx
+        MessageDigest::new(&ctx, &setupfree_wire::to_bytes(script))
     }
 
     fn contribution_secret(&self) -> Scalar {
@@ -267,16 +274,13 @@ impl Seeding {
         sha256(&setupfree_wire::to_bytes(secret))
     }
 
-    fn verify_quorum(&self, script: &PvssScript, quorum: &QuorumCert) -> bool {
+    /// Whether `quorum` certifies the recorded script.
+    fn verify_quorum(&self, quorum: &QuorumCert) -> bool {
         // The declared quorum must itself be ≥ n − f: `verify` only enforces
         // signer_count ≥ the *declared* quorum, so a cert declaring a smaller
         // quorum must not pass.
-        quorum.quorum() >= self.quorum()
-            && quorum.verify(
-                self.keyring.sig_key_slice(),
-                &self.sig_context(),
-                &setupfree_wire::to_bytes(script),
-            )
+        let Some(mu) = &self.recorded_mu else { return false };
+        quorum.quorum() >= self.quorum() && quorum.verify_digest(self.keyring.sig_key_slice(), mu)
     }
 }
 
@@ -362,7 +366,8 @@ impl Seeding {
         if ls.contributions.len() >= quorum {
             let aggregated = PvssScript::aggregate_all(&ls.contributions)
                 .expect("verified single-dealer scripts always aggregate");
-            ls.aggregated = Some(aggregated.clone());
+            let mu = Self::script_digest(&self.sid, &aggregated);
+            ls.aggregated = Some((aggregated.clone(), mu));
             ls.agg_sent = true;
             return Step::multicast(SeedingMessage::AggPvss { script: aggregated });
         }
@@ -380,22 +385,21 @@ impl Seeding {
         {
             return Step::none();
         }
-        let signature = self.secrets.sig.sign(&self.sig_context(), &setupfree_wire::to_bytes(&script));
+        let mu = Self::script_digest(&self.sid, &script);
+        let signature = self.secrets.sig.sign_digest(&mu);
         self.recorded = Some(script);
+        self.recorded_mu = Some(mu);
         Step::send(self.leader, SeedingMessage::AggPvssStored { signature })
     }
 
     fn on_agg_stored(&mut self, from: PartyId, signature: Signature) -> Step<SeedingMessage> {
-        let ctx = self.sig_context();
         let quorum = self.quorum();
-        let vk = *self.keyring.sig_key(from.index());
-        let vks = self.keyring.sig_keys();
         let Some(ls) = &mut self.leader_state else { return Step::none() };
         if ls.commit_sent || ls.stored_by.contains(&from.index()) {
             return Step::none();
         }
-        let Some(agg) = &ls.aggregated else { return Step::none() };
-        if !vk.verify(&ctx, &setupfree_wire::to_bytes(agg), &signature) {
+        let Some((_, mu)) = &ls.aggregated else { return Step::none() };
+        if !self.keyring.sig_key(from.index()).verify_digest(mu, &signature) {
             return Step::none();
         }
         ls.stored_by.insert(from.index());
@@ -405,8 +409,7 @@ impl Seeding {
             // Build the aggregated certificate once, draining the raw
             // signatures; it is reused verbatim by the later `Seed` message.
             let entries = std::mem::take(&mut ls.stored_sigs);
-            let msg_bytes = setupfree_wire::to_bytes(agg);
-            let cert = QuorumCert::new(quorum, &entries, &vks, &ctx, &msg_bytes)
+            let cert = QuorumCert::new_digest(quorum, &entries, self.keyring.sig_key_slice(), mu)
                 .expect("individually verified quorum signatures always aggregate");
             ls.commit_cert = Some(cert.clone());
             return Step::multicast(SeedingMessage::AggPvssCommit { quorum: cert });
@@ -418,14 +421,14 @@ impl Seeding {
         if from != self.leader || self.share_sent {
             return Step::none();
         }
-        let Some(recorded) = self.recorded.clone() else { return Step::none() };
-        if !self.verify_quorum(&recorded, &quorum) {
+        if !self.verify_quorum(&quorum) {
             return Step::none();
         }
+        let Some(recorded) = &self.recorded else { return Step::none() };
+        let share = recorded.decrypt_share(self.me.index(), &self.secrets.pvss_dk);
         // Alg 7 line 8: the script is now committed; release our share.
         self.committed = true;
         self.share_sent = true;
-        let share = recorded.decrypt_share(self.me.index(), &self.secrets.pvss_dk);
         Step::send(self.leader, SeedingMessage::SeedShare { share })
     }
 
@@ -435,7 +438,7 @@ impl Seeding {
         if ls.seed_sent || ls.shares_by.contains(&from.index()) {
             return Step::none();
         }
-        let Some(agg) = &ls.aggregated else { return Step::none() };
+        let Some((agg, _)) = &ls.aggregated else { return Step::none() };
         // Share verification is deferred to `reconstruct` (which validates
         // every collected share and drops invalid ones), so the honest path
         // pays one verification per share instead of the former two — once
@@ -463,7 +466,7 @@ impl Seeding {
             return Step::none();
         }
         let Some(recorded) = &self.recorded else { return Step::none() };
-        if !recorded.verify_secret(&secret) || !self.verify_quorum(recorded, &quorum) {
+        if !recorded.verify_secret(&secret) || !self.verify_quorum(&quorum) {
             return Step::none();
         }
         self.echo_sent = true;

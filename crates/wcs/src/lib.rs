@@ -20,7 +20,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use setupfree_crypto::sig::{QuorumCert, Signature};
+use setupfree_crypto::sig::{MessageDigest, QuorumCert, Signature};
 use setupfree_crypto::{Keyring, PartySecrets};
 use setupfree_net::{PartyId, ProtocolInstance, Sid, Step};
 use setupfree_wire::{Decode, Encode, Reader, WireError, Writer};
@@ -93,7 +93,9 @@ pub struct Wcs {
     /// The monotonically growing local input set `S`.
     local: BTreeSet<usize>,
     started: bool,
-    snapshot: Option<Vec<u32>>,
+    /// The snapshot and its μ under the session's signing context, shared
+    /// by every `Confirm` check and the certificate.
+    snapshot: Option<(Vec<u32>, MessageDigest)>,
     /// Locks received but not yet confirmed because `S̃_j ⊄ S`.
     pending_locks: BTreeMap<usize, Vec<u32>>,
     /// Parties whose Lock we have already seen (first-time rule).
@@ -141,6 +143,11 @@ impl Wcs {
         ctx
     }
 
+    /// μ of the set `set` under the session's signing context.
+    fn set_digest(&self, set: &[u32]) -> MessageDigest {
+        MessageDigest::new(&self.sig_context(), &setupfree_wire::to_bytes(&set.to_vec()))
+    }
+
     /// The current local input set.
     pub fn local_set(&self) -> &BTreeSet<usize> {
         &self.local
@@ -178,7 +185,7 @@ impl Wcs {
         );
         self.started = true;
         let snapshot: Vec<u32> = self.local.iter().map(|i| *i as u32).collect();
-        self.snapshot = Some(snapshot.clone());
+        self.snapshot = Some((snapshot.clone(), self.set_digest(&snapshot)));
         Step::multicast(WcsMessage::Lock { set: snapshot })
     }
 
@@ -215,7 +222,7 @@ impl Wcs {
     }
 
     fn confirm_lock(&self, owner: PartyId, set: &[u32]) -> Step<WcsMessage> {
-        let signature = self.secrets.sig.sign(&self.sig_context(), &setupfree_wire::to_bytes(&set.to_vec()));
+        let signature = self.secrets.sig.sign_digest(&self.set_digest(set));
         Step::send(owner, WcsMessage::Confirm { signature })
     }
 
@@ -239,12 +246,11 @@ impl Wcs {
         if self.commit_sent || !self.started {
             return Step::none();
         }
-        let Some(snapshot) = &self.snapshot else { return Step::none() };
+        let Some((snapshot, mu)) = &self.snapshot else { return Step::none() };
         if self.confirmed_by.contains(&from.index()) {
             return Step::none();
         }
-        let msg_bytes = setupfree_wire::to_bytes(snapshot);
-        if !self.keyring.sig_key(from.index()).verify(&self.sig_context(), &msg_bytes, &signature) {
+        if !self.keyring.sig_key(from.index()).verify_digest(mu, &signature) {
             return Step::none();
         }
         self.confirmed_by.insert(from.index());
@@ -257,14 +263,8 @@ impl Wcs {
                 .into_iter()
                 .map(|(pid, sig)| (pid.index(), sig))
                 .collect();
-            let cert = QuorumCert::new(
-                self.quorum(),
-                &entries,
-                self.keyring.sig_key_slice(),
-                &self.sig_context(),
-                &msg_bytes,
-            )
-            .expect("individually verified confirmations must aggregate");
+            let cert = QuorumCert::new_digest(self.quorum(), &entries, self.keyring.sig_key_slice(), mu)
+                .expect("individually verified confirmations must aggregate");
             return Step::multicast(WcsMessage::Commit { quorum: cert, set: snapshot.clone() });
         }
         Step::none()
@@ -280,9 +280,8 @@ impl Wcs {
         // Validate the quorum proof: an aggregated certificate of n − f
         // distinct registered signers over `set` (the signer bitmap makes
         // duplicates unrepresentable).
-        let msg_bytes = setupfree_wire::to_bytes(&set);
         if quorum.quorum() < self.quorum()
-            || !quorum.verify(self.keyring.sig_key_slice(), &self.sig_context(), &msg_bytes)
+            || !quorum.verify_digest(self.keyring.sig_key_slice(), &self.set_digest(&set))
         {
             return Step::none();
         }

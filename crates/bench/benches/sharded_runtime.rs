@@ -6,7 +6,7 @@
 //! The criterion companion to the `aba-x{k}-shard*` rows of
 //! `BENCH_pr5.json` (which measures the full k ∈ {4, 8, 16} ×
 //! n ∈ {10, 22, 40} grid single-shot).  CI runs this with `--test` so the
-//! sharded execution paths — deterministic merge, parallel workers,
+//! sharded execution paths — inline execution, parallel workers,
 //! admission — cannot bit-rot.
 
 use criterion::{criterion_group, criterion_main, Criterion};

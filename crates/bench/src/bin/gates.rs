@@ -23,7 +23,7 @@
 //!    [`ABA22_CERT_BYTES_BASELINE`] and at least 2× under
 //!    [`ABA22_PRE_AGGREGATION_BYTES`].
 //! 4. **Sharded runtime** — four ABA sessions on [`SHARD_WORKERS`] shards in
-//!    both the deterministic-merge and the parallel mode, and a four-epoch
+//!    both the inline and the parallel mode, and a four-epoch
 //!    pipelined beacon under a `MaxConcurrent(2)` admission window, reach
 //!    `AllOutputs` and agree per session.
 //! 5. **Committee grid** — all-to-all and committee-sampled ABA/VBA cells up
@@ -37,22 +37,18 @@
 //!    and the 4-peer beacon under [`chaos_plan`] (1 % frame drops, ≤ 20 ms
 //!    jitter, one forced link cut) redials, replays its outboxes, and still
 //!    decides and agrees within [`CHAOS_LIMIT_MS`].
-//! 8. **Verify queue** — one cross-session flush of k sessions' RLC checks
-//!    beats k per-session batches on the same data in the same process.
-//! 9. **Tracing overhead** — the golden ABA n = 22 replay with a sink
+//! 8. **Tracing overhead** — the golden ABA n = 22 replay with a sink
 //!    installed but off stays within [`TRACE_OFF_CEILING`] of the
 //!    uninstrumented run and with a counting sink within
 //!    [`TRACE_COUNTING_CEILING`], and every arm replays the golden delivery
 //!    count exactly (tracing observes, it never steers).
-//! 10. **ABA rounds** — the trace-derived mean rounds-to-decide at n = 10
-//!     over [`ABA_ROUNDS_SEEDS`] stays within [`ABA_ROUNDS_BAND`] of
-//!     [`ABA_ROUNDS_GOLDEN_MEAN`].
+//! 9. **ABA rounds** — the trace-derived mean rounds-to-decide at n = 10
+//!    over [`ABA_ROUNDS_SEEDS`] stays within [`ABA_ROUNDS_BAND`] of
+//!    [`ABA_ROUNDS_GOLDEN_MEAN`].
 
 use std::ops::Range;
 use std::time::Instant;
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 use setupfree_bench::tracing::{aba_overhead_arm, aba_round_distribution, OverheadArm};
 use setupfree_bench::{
     measure_avss, measure_beacon, measure_coin, measure_committee_aba, measure_committee_vba,
@@ -62,13 +58,7 @@ use setupfree_bench::{
 };
 use setupfree_core::coin::CoreSetMode;
 use setupfree_crypto::hash::compressions;
-use setupfree_crypto::pedersen::PedersenCommitment;
-use setupfree_crypto::pvss::{
-    verify_single_dealer_batch, PvssDecryptionKey, PvssParams, PvssScript,
-};
-use setupfree_crypto::{Polynomial, Scalar, SigningKey};
 use setupfree_net::StopReason;
-use setupfree_runtime::VerifyQueue;
 use setupfree_transport::LinkFaultPlan;
 
 /// Party counts of the simulator liveness table.
@@ -155,11 +145,6 @@ const CHAOS_LIMIT_MS: f64 = 120_000.0;
 /// Peers and fault-plan seed of the chaos socket beacon.
 const CHAOS_PEERS: usize = 4;
 const CHAOS_SEED: u64 = 0x0C8A05;
-
-/// Verify-queue workload: parties, concurrent sessions, timed repetitions.
-const VQUEUE_N: usize = 10;
-const VQUEUE_SESSIONS: usize = 4;
-const VQUEUE_REPS: u32 = 100;
 
 /// Tracing-overhead workload: the golden ABA at n = 22 (seed [`ABA_SEED`] +
 /// 22), repeated with the arm order rotated every repetition.
@@ -284,8 +269,8 @@ fn simulator_gates(g: &mut Gates) {
 fn sharded_gates(g: &mut Gates) {
     println!("sharded runtime");
     let (n, k, w) = (4, SHARD_SESSIONS, SHARD_WORKERS);
-    let merged = timed("aba-x4-shard-w4", || measure_sharded_abas(n, k, w, SHARD_SEED, false));
-    g.live("aba-x4-shard-w4", &merged);
+    let inline = timed("aba-x4-shard-w4", || measure_sharded_abas(n, k, w, SHARD_SEED, false));
+    g.live("aba-x4-shard-w4", &inline);
     let parallel = timed("aba-x4-par-w4", || measure_sharded_abas(n, k, w, SHARD_SEED, true));
     g.live("aba-x4-par-w4", &parallel);
     let pipe = timed("beacon-pipe4-shard", || {
@@ -387,117 +372,7 @@ fn socket_gates(g: &mut Gates) {
     g.socket("chaos socket beacon", &s, CHAOS_LIMIT_MS);
 }
 
-/// Check 8: times one shard step's verification work for `k` concurrent
-/// sessions over one shared PKI.  Each session's workload is its seeding
-/// leader's `n` single-dealer transcripts plus an AVSS party's opening
-/// checks for its `n` concurrent AVSS instances, all honest.  The
-/// per-session arm makes one batch call per pending check group; the queued
-/// arm flushes everything in one PVSS batch plus one cross-group RLC,
-/// verdict split included.  The enqueue clones exist only because the
-/// workload is replayed `reps` times, so they are prepared untimed.  Both
-/// arms run back-to-back in this process on the same data, so the machine
-/// cancels out of the comparison.
-fn verify_queue_gate(g: &mut Gates) {
-    let (n, k, reps) = (VQUEUE_N, VQUEUE_SESSIONS, VQUEUE_REPS);
-    println!("verify queue: {k} sessions' transcript checks, per-session batches vs one flush");
-    let mut rng = StdRng::seed_from_u64(0x0b9e + n as u64);
-    let degree = 2 * ((n - 1) / 3);
-    let params = PvssParams::new(n, degree);
-    let mut eks = Vec::new();
-    let mut sig_keys = Vec::new();
-    let mut vks = Vec::new();
-    let mut entropy = [0u8; 32];
-    for i in 0..n {
-        let (dk, ek) = PvssDecryptionKey::generate(&mut rng);
-        eks.push(ek);
-        let sk = SigningKey::generate(&mut rng);
-        vks.push(sk.verifying_key());
-        sig_keys.push(sk);
-        if i == 0 {
-            entropy = dk.batch_entropy();
-        }
-    }
-    let scripts_of: Vec<Vec<PvssScript>> = (0..k)
-        .map(|s| {
-            (0..n)
-                .map(|d| {
-                    let secret = Scalar::from_u64((s * n + d) as u64 + 1);
-                    PvssScript::deal(&params, &eks, &sig_keys[d], d, secret, &mut rng)
-                })
-                .collect()
-        })
-        .collect();
-    type SessionOpenings = Vec<(PedersenCommitment, Vec<(usize, Scalar, Scalar)>)>;
-    let openings_of: Vec<SessionOpenings> = (0..k)
-        .map(|_| {
-            (0..n)
-                .map(|_| {
-                    let a = Polynomial::random(degree, &mut rng);
-                    let b = Polynomial::random(degree, &mut rng);
-                    let commitment = PedersenCommitment::commit(&a, &b);
-                    let shares =
-                        (1..=n).map(|i| (i, a.eval_at_index(i), b.eval_at_index(i))).collect();
-                    (commitment, shares)
-                })
-                .collect()
-        })
-        .collect();
-
-    // Warm the process-wide caches so both arms run in the steady state.
-    let warm: Vec<(usize, &PvssScript)> = scripts_of[0].iter().enumerate().collect();
-    let accepted = verify_single_dealer_batch(&params, &eks, &vks, &warm, &entropy);
-    g.check(accepted == vec![true; n], || "batch verification rejected an honest setup".into());
-
-    let start = Instant::now();
-    for _ in 0..reps {
-        for (scripts, groups) in scripts_of.iter().zip(openings_of.iter()) {
-            let entries: Vec<(usize, &PvssScript)> = scripts.iter().enumerate().collect();
-            let flags = verify_single_dealer_batch(&params, &eks, &vks, &entries, &entropy);
-            assert_eq!(flags, vec![true; n], "per-session batch rejected honest scripts");
-            for (commitment, shares) in groups {
-                let flags = commitment.verify_shares_batch(shares, &entropy);
-                assert_eq!(flags, vec![true; n], "per-session batch rejected honest shares");
-            }
-        }
-    }
-    let per_session_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
-
-    type Workload = (Vec<Vec<(usize, PvssScript)>>, Vec<SessionOpenings>);
-    let workloads: Vec<Workload> = (0..reps)
-        .map(|_| {
-            (
-                scripts_of.iter().map(|s| s.iter().cloned().enumerate().collect()).collect(),
-                openings_of.clone(),
-            )
-        })
-        .collect();
-    let start = Instant::now();
-    for (script_load, opening_load) in workloads {
-        let mut queue = VerifyQueue::new();
-        for (s, entries) in script_load.into_iter().enumerate() {
-            queue.enqueue_scripts(s, entries);
-        }
-        for (s, groups) in opening_load.into_iter().enumerate() {
-            for (commitment, shares) in groups {
-                queue.enqueue_shares(s, commitment, shares);
-            }
-        }
-        let report = queue.flush(&params, &eks, &vks, &entropy);
-        assert!(report.all_ok(), "the honest cross-session flush must verify");
-        assert_eq!(report.entries, k * n + k * n * n);
-    }
-    let queued_ms = start.elapsed().as_secs_f64() * 1e3 / f64::from(reps);
-
-    println!(
-        "  n={n} k={k}: per-session {per_session_ms:.3} ms, queued {queued_ms:.3} ms ({:.2}x)",
-        per_session_ms / queued_ms
-    );
-    g.check(queued_ms < per_session_ms, || {
-        format!("verify queue {queued_ms:.3} ms did not beat per-session {per_session_ms:.3} ms")
-    });
-}
-
-/// Check 9: tracing is (nearly) free when nobody is looking.  Each
+/// Check 8: tracing is (nearly) free when nobody is looking.  Each
 /// repetition runs all three arms, starting one arm later than the last, so
 /// every arm runs in every position equally often.  Each arm's fastest run
 /// is its least-disturbed one; the gate judges the ratio of those minima.
@@ -541,7 +416,7 @@ fn tracing_overhead_gate(g: &mut Gates) {
     g.check(events > 0, || "the counting sink observed no events".into());
 }
 
-/// Check 10: the ABA stays in the expected-constant-round regime.
+/// Check 9: the ABA stays in the expected-constant-round regime.
 fn aba_rounds_gate(g: &mut Gates) {
     let rounds = aba_round_distribution(ABA_ROUNDS_N, ABA_ROUNDS_SEEDS);
     let mean = rounds.iter().sum::<u64>() as f64 / rounds.len() as f64;
@@ -565,7 +440,6 @@ fn main() {
     committee_gates(&mut g);
     starved_session_gates(&mut g);
     socket_gates(&mut g);
-    verify_queue_gate(&mut g);
     tracing_overhead_gate(&mut g);
     aba_rounds_gate(&mut g);
     let secs = start.elapsed().as_secs_f64();

@@ -679,7 +679,8 @@ fn sharded_aba_session(
 /// runtime**: sessions partitioned across `workers` shards, each with its
 /// own scheduler/slab/budget/metrics — the sharded counterpart of
 /// [`measure_concurrent_abas`].  `parallel` opts into one OS thread per
-/// shard; the deterministic merge is the default.
+/// shard; running the admitted sessions inline on the calling thread is
+/// the default.
 pub fn measure_sharded_abas(
     n: usize,
     k: usize,

@@ -117,70 +117,6 @@ impl PedersenCommitment {
     }
 }
 
-/// One commitment paired with the claimed `(index, a, b)` openings against
-/// it — the unit [`verify_share_groups`] combines across.
-pub type ShareGroup<'a> = (&'a PedersenCommitment, &'a [(usize, Scalar, Scalar)]);
-
-/// Verifies claimed openings against *several* commitments — typically the
-/// dealer commitments of the `k` sessions one shard owns — in a single
-/// random-linear-combination check spanning all of them.
-///
-/// Each group pairs one commitment with its claimed openings.  The whole
-/// batch collapses into one fixed-base commit plus one multi-exponentiation
-/// over `Σ_g (deg_g + 1)` bases, amortising the per-check fixed cost across
-/// sessions (the runtime's [`VerifyQueue`](../../setupfree_runtime) flushes
-/// through here once per shard step instead of once per session event).
-///
-/// Attribution on failure is hierarchical: the cross-group combination
-/// failing triggers one per-group RLC each ([`verify_shares_batch`]
-/// (PedersenCommitment::verify_shares_batch)), which in turn falls back to
-/// per-share checks inside any failing group — so only the sessions that
-/// contributed a bad opening pay the fallback, and callers learn exactly
-/// which shares were bad.  Returns one flag vector per group, aligned with
-/// the input.
-pub fn verify_share_groups(groups: &[ShareGroup<'_>], entropy: &[u8]) -> Vec<Vec<bool>> {
-    let total: usize = groups.iter().map(|(_, shares)| shares.len()).sum();
-    if groups.len() < 2 || total < 2 {
-        return groups
-            .iter()
-            .map(|(c, shares)| c.verify_shares_batch(shares, entropy))
-            .collect();
-    }
-    let rho = Scalar::from_hash(
-        "setupfree/pedersen/batch-multi/rho",
-        &[entropy, &(groups.len() as u64).to_le_bytes(), &(total as u64).to_le_bytes()],
-    );
-    let rho = if rho.is_zero() { Scalar::one() } else { rho };
-    let mut lhs_a = Scalar::zero();
-    let mut lhs_b = Scalar::zero();
-    let mut bases = Vec::new();
-    let mut exps = Vec::new();
-    let mut r = Scalar::one();
-    for (commitment, shares) in groups {
-        let offset = exps.len();
-        bases.extend_from_slice(commitment.elements());
-        exps.resize(offset + commitment.elements().len(), Scalar::zero());
-        for (index, a, b) in shares.iter() {
-            lhs_a += r * *a;
-            lhs_b += r * *b;
-            let x = Scalar::from_u64(*index as u64);
-            let mut power = r;
-            for exp in exps[offset..].iter_mut() {
-                *exp += power;
-                power *= x;
-            }
-            r *= rho;
-        }
-    }
-    let lhs = GroupElement::commit(lhs_a, lhs_b);
-    if lhs == multiexp::multi_exp(&bases, &exps) {
-        return groups.iter().map(|(_, shares)| vec![true; shares.len()]).collect();
-    }
-    // At least one group contains a bad opening: re-check group by group so
-    // only the offending session(s) pay per-share fallback.
-    groups.iter().map(|(c, shares)| c.verify_shares_batch(shares, entropy)).collect()
-}
-
 impl Encode for PedersenCommitment {
     fn encode(&self, w: &mut Writer) {
         self.commitments.encode(w);
@@ -291,63 +227,6 @@ mod tests {
             let per_share: Vec<bool> =
                 shares.iter().map(|(i, x, y)| c.verify_share(*i, *x, *y)).collect();
             prop_assert_eq!(c.verify_shares_batch(&shares, &seed.to_le_bytes()), per_share);
-        }
-    }
-
-    #[test]
-    fn multi_group_batch_accepts_valid_groups() {
-        let fixtures: Vec<_> = (0..4).map(|s| sample(3, 100 + s)).collect();
-        let share_sets: Vec<Vec<(usize, Scalar, Scalar)>> = fixtures
-            .iter()
-            .map(|(a, b, _)| (1..=5).map(|i| (i, a.eval_at_index(i), b.eval_at_index(i))).collect())
-            .collect();
-        let groups: Vec<ShareGroup<'_>> =
-            fixtures.iter().zip(&share_sets).map(|((_, _, c), s)| (c, s.as_slice())).collect();
-        let flags = verify_share_groups(&groups, b"multi-entropy");
-        assert_eq!(flags, vec![vec![true; 5]; 4]);
-    }
-
-    #[test]
-    fn multi_group_batch_attributes_failure_to_the_bad_group() {
-        let fixtures: Vec<_> = (0..3).map(|s| sample(2, 200 + s)).collect();
-        let mut share_sets: Vec<Vec<(usize, Scalar, Scalar)>> = fixtures
-            .iter()
-            .map(|(a, b, _)| (1..=4).map(|i| (i, a.eval_at_index(i), b.eval_at_index(i))).collect())
-            .collect();
-        share_sets[1][2].1 += Scalar::one();
-        let groups: Vec<ShareGroup<'_>> =
-            fixtures.iter().zip(&share_sets).map(|((_, _, c), s)| (c, s.as_slice())).collect();
-        let flags = verify_share_groups(&groups, b"multi-entropy");
-        assert_eq!(flags[0], vec![true; 4]);
-        assert_eq!(flags[1], vec![true, true, false, true]);
-        assert_eq!(flags[2], vec![true; 4]);
-    }
-
-    proptest! {
-        #[test]
-        fn prop_multi_group_matches_per_group(
-            seed in any::<u64>(),
-            tamper_mask in 0u16..512,
-        ) {
-            let fixtures: Vec<_> = (0..3).map(|s| sample(2, seed.wrapping_add(s))).collect();
-            let mut share_sets: Vec<Vec<(usize, Scalar, Scalar)>> = fixtures
-                .iter()
-                .map(|(a, b, _)| (1..=3).map(|i| (i, a.eval_at_index(i), b.eval_at_index(i))).collect())
-                .collect();
-            for (g, set) in share_sets.iter_mut().enumerate() {
-                for (s, share) in set.iter_mut().enumerate() {
-                    if tamper_mask & (1 << (g * 3 + s)) != 0 {
-                        share.2 += Scalar::one();
-                    }
-                }
-            }
-            let groups: Vec<ShareGroup<'_>> =
-                fixtures.iter().zip(&share_sets).map(|((_, _, c), s)| (c, s.as_slice())).collect();
-            let combined = verify_share_groups(&groups, &seed.to_le_bytes());
-            for (g, (c, shares)) in groups.iter().enumerate() {
-                let per: Vec<bool> = shares.iter().map(|(i, x, y)| c.verify_share(*i, *x, *y)).collect();
-                prop_assert_eq!(&combined[g], &per);
-            }
         }
     }
 

@@ -1,4 +1,5 @@
-//! Generic Byzantine / crash fault wrappers.
+//! Generic Byzantine / crash fault wrappers, and the fault plan that
+//! applies them to a simulation.
 //!
 //! Protocol-specific attacks (equivocating AVSS dealers, silent Seeding
 //! leaders, lying WCS participants, …) live next to the protocols they
@@ -7,6 +8,102 @@
 
 use crate::party::PartyId;
 use crate::protocol::{ProtocolInstance, Step};
+use crate::sim::{BoxedParty, Simulation};
+
+/// Which parties of one run are faulty, and how.  Three kinds, each with
+/// its own accounting rule:
+///
+/// * **Byzantine** ([`FaultPlan::silence`], [`FaultPlan::mark_byzantine`]):
+///   traffic not charged to the honest complexity, not awaited for
+///   termination, outside the agreement quantifier;
+/// * **crash-faulty** ([`FaultPlan::crash_after`]): honest until it goes
+///   silent mid-run — its traffic is charged and a pre-crash output joins
+///   the agreement quantifier, but it is not awaited;
+/// * **crashed at start** ([`FaultPlan::crash_at_start`]): never activates,
+///   and traffic to it is purged.
+///
+/// The plan is data until [`FaultPlan::apply`] marks the parties on a
+/// [`Simulation`], so the test harness and the sharded runtime share one
+/// reading of each fault.
+#[derive(Debug, Default)]
+pub struct FaultPlan {
+    byzantine: Vec<usize>,
+    crash_faulty: Vec<usize>,
+    crashed_at_start: Vec<usize>,
+}
+
+impl FaultPlan {
+    /// Replaces party `i` with a fully silent Byzantine machine.
+    pub fn silence<M, O>(&mut self, parties: &mut [BoxedParty<M, O>], i: usize)
+    where
+        M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + std::fmt::Debug + 'static,
+        O: Clone + std::fmt::Debug + 'static,
+    {
+        parties[i] = Box::new(SilentParty::new());
+        self.byzantine.push(i);
+    }
+
+    /// Marks party `i` Byzantine without changing its machine (for callers
+    /// that installed a custom adversarial implementation).
+    pub fn mark_byzantine(&mut self, i: usize) {
+        self.byzantine.push(i);
+    }
+
+    /// Wraps party `i` in [`CrashAfter`] so it goes permanently silent after
+    /// `activations` deliveries, and marks it crash-faulty.
+    pub fn crash_after<M, O>(&mut self, parties: &mut [BoxedParty<M, O>], i: usize, activations: usize)
+    where
+        M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + std::fmt::Debug + 'static,
+        O: Clone + std::fmt::Debug + 'static,
+    {
+        let machine = std::mem::replace(&mut parties[i], Box::new(SilentParty::new()));
+        parties[i] = Box::new(CrashAfter::new(machine, activations));
+        self.crash_faulty.push(i);
+    }
+
+    /// Crashes party `i` before the run starts (it never activates).
+    pub fn crash_at_start(&mut self, i: usize) {
+        self.crashed_at_start.push(i);
+    }
+
+    /// Marks every planned fault on `sim`.  Call before activation: a party
+    /// crashed at start must never activate.
+    pub fn apply<M, O>(&self, sim: &mut Simulation<M, O>)
+    where
+        M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + std::fmt::Debug + 'static,
+        O: Clone + std::fmt::Debug,
+    {
+        for &i in &self.byzantine {
+            sim.mark_byzantine(PartyId(i));
+        }
+        for &i in &self.crash_faulty {
+            sim.mark_crash_faulty(PartyId(i));
+        }
+        for &i in &self.crashed_at_start {
+            sim.crash(PartyId(i));
+        }
+    }
+
+    /// `honest[i]` is `false` for the parties outside the agreement and
+    /// validity quantifiers: Byzantine or crashed at start.
+    pub fn honest(&self, n: usize) -> Vec<bool> {
+        let mut honest = vec![true; n];
+        for &i in self.byzantine.iter().chain(&self.crashed_at_start) {
+            honest[i] = false;
+        }
+        honest
+    }
+
+    /// `awaited[i]` is `false` for the parties termination does not wait
+    /// for: every faulty party, crash-faulty ones included.
+    pub fn awaited(&self, n: usize) -> Vec<bool> {
+        let mut awaited = vec![true; n];
+        for &i in self.byzantine.iter().chain(&self.crash_faulty).chain(&self.crashed_at_start) {
+            awaited[i] = false;
+        }
+        awaited
+    }
+}
 
 /// A party that never sends anything (a crash fault present from the start,
 /// or equivalently a fully silent Byzantine party).
@@ -177,6 +274,18 @@ mod tests {
         assert!(!p.on_message(PartyId(0), 1).is_empty());
         assert!(p.on_message(PartyId(0), 2).is_empty());
         assert!(p.output().is_none());
+    }
+
+    #[test]
+    fn fault_plan_quantifiers_follow_the_fault_kind() {
+        let mut parties: Vec<BoxedParty<u8, u8>> = (0..4).map(|_| Box::new(Chatty) as _).collect();
+        let mut plan = FaultPlan::default();
+        plan.silence(&mut parties, 0);
+        plan.crash_after(&mut parties, 1, 1);
+        plan.crash_at_start(2);
+        assert_eq!(plan.honest(4), vec![false, true, false, true]);
+        assert_eq!(plan.awaited(4), vec![false, false, false, true]);
+        assert!(parties[0].output().is_none(), "a silenced party is a silent machine");
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! * [`metrics`] — the three performance metrics of §3 (communication,
 //!   messages, asynchronous rounds),
 //! * [`faults`] — generic Byzantine/crash behaviours for fault-injection
-//!   testing.
+//!   testing, and the [`FaultPlan`] that applies them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +30,7 @@ pub mod protocol;
 pub mod scheduler;
 pub mod sim;
 
-pub use faults::{CrashAfter, DuplicatingParty, SilentParty};
+pub use faults::{CrashAfter, DuplicatingParty, FaultPlan, SilentParty};
 pub use metrics::{Metrics, SessionImbalance};
 pub use mux::{
     decode_cache_stats, envelope_path, BufferStats, CapPolicy, DecodeCacheStats, Envelope,

@@ -11,28 +11,19 @@
 /// Decides when the host may open the next pending session.
 ///
 /// The host calls [`AdmissionPolicy::admit`] whenever it has a pending
-/// session and a free moment (after start-up, after every session close,
-/// and periodically between deliveries); a `true` return *consumes* the
-/// admission (token-bucket policies debit a token).  [`AdmissionPolicy::on_delivery`]
-/// ticks the policy's clock — the deterministic host calls it once per
-/// delivered message, the parallel host once per message of every session
-/// it closes (deliveries happen inside the workers there, so the clock
-/// advances in session-sized batches).
+/// session and a free moment (at start-up and after every session close);
+/// a `true` return *consumes* the admission (token-bucket policies debit a
+/// token).  [`AdmissionPolicy::on_deliveries`] ticks the policy's clock:
+/// a session runs to its close in one piece, so the host reports all of a
+/// closed session's deliveries at once, and the clock advances in
+/// session-sized steps.
 pub trait AdmissionPolicy: Send {
     /// May a new session be opened, given `active` sessions currently live?
     /// Returning `true` commits the admission.
     fn admit(&mut self, active: usize) -> bool;
 
-    /// Advances the policy clock by one delivered message.
-    fn on_delivery(&mut self) {}
-
-    /// Advances the policy clock by `n` delivered messages at once (the
-    /// parallel host reports a whole session's deliveries when it closes).
-    fn on_deliveries(&mut self, n: u64) {
-        for _ in 0..n {
-            self.on_delivery();
-        }
-    }
+    /// Advances the policy clock by the `n` deliveries of a closed session.
+    fn on_deliveries(&mut self, _n: u64) {}
 
     /// A session closed (completed, quiesced, or exhausted its budget).
     fn on_session_closed(&mut self) {}
@@ -53,8 +44,6 @@ impl AdmissionPolicy for Unlimited {
     fn admit(&mut self, _active: usize) -> bool {
         true
     }
-
-    fn on_deliveries(&mut self, _n: u64) {}
 }
 
 /// Caps the number of concurrently live sessions: session `j` opens once
@@ -67,8 +56,6 @@ impl AdmissionPolicy for MaxConcurrent {
     fn admit(&mut self, active: usize) -> bool {
         active < self.0
     }
-
-    fn on_deliveries(&mut self, _n: u64) {}
 }
 
 /// A token bucket over the delivery clock: an admission costs one token,
@@ -108,16 +95,8 @@ impl AdmissionPolicy for TokenBucket {
         true
     }
 
-    fn on_delivery(&mut self) {
-        self.clock += 1;
-        if self.clock.is_multiple_of(self.refill_every) && self.tokens < self.capacity {
-            self.tokens += 1;
-        }
-    }
-
     fn on_deliveries(&mut self, n: u64) {
-        // Closed-form bulk tick (the parallel host reports millions of
-        // deliveries per close; looping would be wasteful).
+        // One refill per `refill_every` boundary the clock crosses.
         let refills = (self.clock + n) / self.refill_every - self.clock / self.refill_every;
         self.clock += n;
         self.tokens = (self.tokens + refills).min(self.capacity);
@@ -156,16 +135,19 @@ mod tests {
         assert!(p.admit(0));
         assert!(!p.admit(0), "bucket empty");
         for _ in 0..9 {
-            p.on_delivery();
+            p.on_deliveries(1);
             assert_eq!(p.tokens(), 0);
         }
-        p.on_delivery();
+        p.on_deliveries(1);
         assert_eq!(p.tokens(), 1, "one token per refill interval");
         assert!(p.admit(0));
-        // Refills never exceed the capacity.
-        for _ in 0..100 {
-            p.on_delivery();
-        }
+        // A session-sized tick crossing two boundaries refills two tokens,
+        // and refills never exceed the capacity.
+        p.on_deliveries(5);
+        p.on_deliveries(15);
+        assert_eq!(p.tokens(), 2);
+        assert!(p.admit(0) && p.admit(0));
+        p.on_deliveries(1_000);
         assert_eq!(p.tokens(), 2);
     }
 }

@@ -22,38 +22,38 @@
 //!   pre-spawned, so pipelined workloads (beacon epochs, view streams)
 //!   become admitted sessions under a concurrency/rate policy.
 //!
-//! # Determinism contract
+//! # Execution and determinism contract
 //!
-//! [`ShardedHost::run`] merges the shards on one thread by a round-robin
-//! shard step (shard 0, 1, …, W−1, repeat; within a shard, round-robin over
-//! its live sessions), and every session's scheduler is seeded by the
-//! caller per session.  Because top-level sessions exchange no cross-shard
-//! traffic today, a session's delivery sequence is a pure function of its
-//! own setup — so per-session results (deliveries, rounds, bytes, outputs)
-//! are **identical for every `W`**, and identical to
-//! [`ShardedHost::run_parallel`]'s.  The golden tests pin exactly this.
-//! Host-level *telemetry* (e.g. [`ShardedRunReport::peak_live_sessions`])
-//! depends on the merge interleaving and is excluded from the contract.
-//! `run_parallel` is the opt-in mode: today it happens to preserve
-//! per-session determinism because sessions are isolated; once cross-shard
-//! traffic exists (shared seeding), only `run` will keep the guarantee.
+//! A session runs once, to its close: the host builds its setup, applies
+//! the fault plan, and calls `Simulation::run(budget)` — the same call a
+//! bare simulation makes.  One coordinator admits sessions and collects
+//! their reports for both modes: [`ShardedHost::run`] executes the admitted
+//! sessions in admission order on the calling thread, and
+//! [`ShardedHost::run_parallel`] hands them to `W` worker threads.  Every
+//! session's scheduler is seeded by the caller per session and top-level
+//! sessions exchange no traffic, so a session's delivery sequence is a
+//! pure function of its own setup — per-session results (deliveries,
+//! rounds, bytes, outputs, trace stream) are **identical for every `W`**
+//! and for both modes.  The golden tests pin exactly this.  Host-level
+//! *telemetry* ([`ShardedRunReport::peak_live_sessions`], the admission
+//! trace) depends on when sessions close and is excluded from the contract.
 
 use std::collections::VecDeque;
 use std::fmt;
 
-use setupfree_net::{BoxedParty, PartyId, Scheduler, Simulation, StopReason};
+use setupfree_net::{BoxedParty, FaultPlan, Scheduler, Simulation, StopReason};
 use setupfree_obs::{EventKind, TraceEvent, VecSink, NO_PARTY};
 
 use crate::admission::{AdmissionPolicy, Unlimited};
 use crate::queue::ShardQueue;
 
-/// What closing a session yields: its report, its outputs, and its trace
-/// stream (empty unless tracing is on).
+/// What running a session to its close yields: its report, its outputs,
+/// and its trace stream (empty unless tracing is on).
 type ClosedSession<O> = (SessionReport, Vec<Option<O>>, Vec<TraceEvent>);
 
-/// Everything needed to open one session: the per-party state machines, the
-/// session's own adversarial scheduler (seed it per session — that is what
-/// makes per-session execution independent of the shard count), its
+/// Everything needed to run one session: the per-party state machines,
+/// the session's own adversarial scheduler (seed it per session — that is
+/// what makes per-session execution independent of the shard count), its
 /// delivery budget, and the fault plan.
 pub struct SessionSetup<M, O>
 where
@@ -67,13 +67,7 @@ where
     /// The session's delivery budget; exhausting it closes *this* session
     /// with [`StopReason::BudgetExhausted`] and touches no other.
     pub budget: u64,
-    /// Parties marked Byzantine (their traffic is not charged as honest).
-    pub byzantine: Vec<usize>,
-    /// Parties crashed before the session starts.
-    pub crashed_at_start: Vec<usize>,
-    /// Parties wrapped by [`SessionSetup::crash_after`]: honest, but not
-    /// awaited for termination (they will go silent mid-run).
-    pub crash_faulty: Vec<usize>,
+    faults: FaultPlan,
 }
 
 impl<M, O> SessionSetup<M, O>
@@ -83,14 +77,7 @@ where
 {
     /// An all-honest session with the given parties, scheduler and budget.
     pub fn new(parties: Vec<BoxedParty<M, O>>, scheduler: Box<dyn Scheduler>, budget: u64) -> Self {
-        SessionSetup {
-            parties,
-            scheduler,
-            budget,
-            byzantine: Vec::new(),
-            crashed_at_start: Vec::new(),
-            crash_faulty: Vec::new(),
-        }
+        SessionSetup { parties, scheduler, budget, faults: FaultPlan::default() }
     }
 
     /// Wraps party `i` so it crashes (goes permanently silent) after
@@ -101,17 +88,13 @@ where
     /// pre-crash output joins the agreement quantifier); it is just no
     /// longer awaited for termination.
     pub fn crash_after(mut self, i: usize, activations: usize) -> Self {
-        let machine =
-            std::mem::replace(&mut self.parties[i], Box::new(setupfree_net::SilentParty::new()));
-        self.parties[i] = Box::new(setupfree_net::CrashAfter::new(machine, activations));
-        self.crash_faulty.push(i);
+        self.faults.crash_after(&mut self.parties, i, activations);
         self
     }
 
     /// Replaces party `i` with a fully silent Byzantine machine.
     pub fn silence(mut self, i: usize) -> Self {
-        self.parties[i] = Box::new(setupfree_net::SilentParty::new());
-        self.byzantine.push(i);
+        self.faults.silence(&mut self.parties, i);
         self
     }
 }
@@ -225,10 +208,11 @@ pub struct ShardedRunReport<O> {
     /// Every session's per-party outputs, indexed by session then party
     /// (empty for sessions lost to a worker failure).
     pub outputs: Vec<Vec<Option<O>>>,
-    /// Maximum number of concurrently live sessions observed (merge-order
-    /// dependent telemetry — *not* covered by the determinism contract).
+    /// Maximum number of concurrently live (admitted, not yet filed)
+    /// sessions observed — telemetry that depends on when sessions close,
+    /// *not* covered by the determinism contract.
     pub peak_live_sessions: usize,
-    /// Worker shards that died mid-run (always empty for the deterministic
+    /// Worker shards that died mid-run (always empty for
     /// [`ShardedHost::run`], which executes sessions on the host thread).
     pub failures: Vec<WorkerFailure>,
     /// Per-session trace streams (indexed by session; all empty unless the
@@ -238,9 +222,9 @@ pub struct ShardedRunReport<O> {
     pub session_traces: Vec<Vec<TraceEvent>>,
     /// The host's admission-decision trace ([`EventKind::Admission`]): one
     /// event per committed admission (and per first refusal of a delayed
-    /// session), stamped with the host-level delivery clock.  Empty unless
-    /// tracing is on.  Merge-order-dependent telemetry, like
-    /// [`ShardedRunReport::peak_live_sessions`].
+    /// session), stamped with the deliveries of every session closed so
+    /// far.  Empty unless tracing is on.  Close-order-dependent telemetry,
+    /// like [`ShardedRunReport::peak_live_sessions`].
     pub admission_trace: Vec<TraceEvent>,
 }
 
@@ -315,47 +299,6 @@ impl<O> ShardedRunReport<O> {
 /// committed ahead.
 const INBOX_CAPACITY: usize = 4;
 
-/// One live session inside a shard (deterministic mode).
-struct LiveSession<M, O>
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug,
-{
-    session: usize,
-    sim: Simulation<M, O>,
-    budget: u64,
-    deliveries: u64,
-    /// `true` when this session records a trace stream.
-    traced: bool,
-    /// The session's suspended trace sink while another session (or host
-    /// code) runs on this thread; taken while the sink is installed.
-    trace: Option<Box<dyn setupfree_obs::TraceSink>>,
-}
-
-/// Re-installs a suspended session trace sink on the current thread (no-op
-/// for untraced sessions).
-fn resume_trace<M, O>(slot: &mut LiveSession<M, O>)
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug,
-{
-    if let Some(sink) = slot.trace.take() {
-        setupfree_obs::install(sink);
-    }
-}
-
-/// Uninstalls the current thread's sink back into the session slot, so the
-/// next session's deliveries cannot leak into this session's stream.
-fn suspend_trace<M, O>(slot: &mut LiveSession<M, O>)
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug,
-{
-    if slot.traced {
-        slot.trace = setupfree_obs::uninstall();
-    }
-}
-
 /// Runs `k` sessions over `W` worker shards.  See the module docs for the
 /// execution and determinism model.
 pub struct ShardedHost<M, O, F>
@@ -414,124 +357,49 @@ where
         self
     }
 
-    /// Runs every session to its close on the current thread, merging the
-    /// shards deterministically: one round-robin pass over the shards per
-    /// step, one delivery from each shard's next live session per pass.
-    pub fn run(mut self) -> ShardedRunReport<O> {
-        let k = self.sessions;
+    /// Runs every session to its close on the current thread, one at a
+    /// time in admission order; a session's shard is `session mod W`.
+    pub fn run(self) -> ShardedRunReport<O> {
         let w = self.workers;
-        let mut shards: Vec<VecDeque<LiveSession<M, O>>> = (0..w).map(|_| VecDeque::new()).collect();
-        let mut reports: Vec<Option<SessionReport>> = (0..k).map(|_| None).collect();
-        let mut outputs: Vec<Vec<Option<O>>> = (0..k).map(|_| Vec::new()).collect();
-        let mut session_traces: Vec<Vec<TraceEvent>> = (0..k).map(|_| Vec::new()).collect();
-        let mut admission_trace: Vec<TraceEvent> = Vec::new();
-        let mut next = 0usize;
-        let mut active = 0usize;
-        let mut peak = 0usize;
-        let mut host_clock = 0u64;
-        // Dedup refusal events: one per delayed session, not one per pass.
-        let mut last_refused: Option<usize> = None;
-
+        let mut coordinator = Coordinator::new(self.sessions, self.policy, self.tracing);
+        let mut admitted = VecDeque::new();
         loop {
-            // Admission: open pending sessions while the policy allows, with
-            // the liveness floor of one forced admission on an idle host.
-            while next < k {
-                let verdict = self.policy.admit(active);
-                let forced = !verdict && active == 0;
-                if self.tracing && (verdict || forced || last_refused != Some(next)) {
-                    admission_trace.push(admission_event(
-                        next,
-                        verdict,
-                        forced,
-                        self.policy.token_state(),
-                        active,
-                        host_clock,
-                    ));
-                }
-                if !(verdict || forced) {
-                    last_refused = Some(next);
-                    break;
-                }
-                let session = open_session(&self.factory, next, self.tracing);
-                shards[next % w].push_back(session);
-                next += 1;
-                active += 1;
-                peak = peak.max(active);
-            }
-            if active == 0 {
-                debug_assert!(next >= k, "idle host with pending sessions must force-admit");
-                break;
-            }
-            // One deterministic merge pass: each shard steps its next live
-            // session once (delivering one message or closing it).
-            for shard in shards.iter_mut() {
-                let Some(mut slot) = shard.pop_front() else { continue };
-                // `step_with_budget` IS `Simulation::run`'s loop body, so a
-                // session's close state (reason and delivery count, zero
-                // budgets included) is identical to what `sim.run(budget)` —
-                // the parallel workers' path — produces.
-                resume_trace(&mut slot);
-                let closed = slot.sim.step_with_budget(slot.deliveries, slot.budget);
-                suspend_trace(&mut slot);
-                if closed.is_none() {
-                    slot.deliveries += 1;
-                    host_clock += 1;
-                    self.policy.on_delivery();
-                }
-                match closed {
-                    None => shard.push_back(slot),
-                    Some(reason) => {
-                        let shard_id = slot.session % w;
-                        let (report, outs, trace) = close_session(slot, reason, shard_id);
-                        outputs[report.session] = outs;
-                        session_traces[report.session] = trace;
-                        reports[report.session] = Some(report);
-                        active -= 1;
-                        self.policy.on_session_closed();
-                    }
-                }
-            }
+            coordinator.admit(
+                |_| true,
+                |index| {
+                    admitted.push_back(index);
+                    true
+                },
+            );
+            let Some(index) = admitted.pop_front() else { break };
+            coordinator.close(run_session(&self.factory, index, index % w, self.tracing));
         }
-
-        ShardedRunReport {
-            sessions: reports.into_iter().map(|r| r.expect("every session closed")).collect(),
-            outputs,
-            peak_live_sessions: peak,
-            failures: Vec::new(),
-            session_traces,
-            admission_trace,
-        }
+        debug_assert_eq!(coordinator.closed, self.sessions, "every session closed");
+        coordinator.finish(Vec::new())
     }
 
     /// Runs the shards on `W` OS threads — the opt-in parallel mode.
     ///
     /// Admitted session indices flow to the workers over bounded
-    /// [`ShardQueue`]s and reports flow back the same way (the seam
-    /// cross-shard protocol traffic would use in a shared-seeding future).
-    /// Today's sessions are isolated, so per-session results still match
-    /// [`ShardedHost::run`] bit-for-bit; the *guarantee*, however, is only
-    /// made by the deterministic mode, which is why golden tests pin `run`.
+    /// [`ShardQueue`]s and reports flow back the same way.  Each worker
+    /// runs its sessions exactly as [`ShardedHost::run`] does, so
+    /// per-session results match it bit-for-bit; only the host telemetry
+    /// (peak live sessions, admission-trace clocks) depends on thread
+    /// timing.
     pub fn run_parallel(self) -> ShardedRunReport<O>
     where
         O: Send,
     {
         let k = self.sessions;
         let w = self.workers;
-        let ShardedHost { factory, mut policy, tracing, .. } = self;
+        let ShardedHost { factory, policy, tracing, .. } = self;
         let factory = &factory;
         let inboxes: Vec<ShardQueue<usize>> = (0..w).map(|_| ShardQueue::new(INBOX_CAPACITY)).collect();
         // Outbox capacity k: a worker can always hand its report back
         // without blocking, so the coordinator can never deadlock it.
         let outboxes: Vec<ShardQueue<ClosedSession<O>>> =
             (0..w).map(|_| ShardQueue::new(k)).collect();
-
-        let mut reports: Vec<Option<SessionReport>> = (0..k).map(|_| None).collect();
-        let mut outputs: Vec<Vec<Option<O>>> = (0..k).map(|_| Vec::new()).collect();
-        let mut session_traces: Vec<Vec<TraceEvent>> = (0..k).map(|_| Vec::new()).collect();
-        let mut admission_trace: Vec<TraceEvent> = Vec::new();
-        let mut peak = 0usize;
-        let mut host_clock = 0u64;
-
+        let mut coordinator = Coordinator::new(k, policy, tracing);
         let mut failures: Vec<WorkerFailure> = Vec::new();
 
         std::thread::scope(|scope| {
@@ -541,13 +409,7 @@ where
                     // The whole session lives and dies on this thread; only
                     // the index in and the report out cross threads.
                     while let Some(index) = inbox.pop() {
-                        let mut slot = open_session(factory, index, tracing);
-                        resume_trace(&mut slot);
-                        let run = slot.sim.run(slot.budget);
-                        suspend_trace(&mut slot);
-                        slot.deliveries = run.deliveries;
-                        let result = close_session(slot, run.reason, shard);
-                        if outbox.push(result).is_err() {
+                        if outbox.push(run_session(factory, index, shard, tracing)).is_err() {
                             break;
                         }
                     }
@@ -557,57 +419,23 @@ where
             // Coordinator (this thread): admission + report collection.  It
             // never blocks on an inbox (try_push only), so worker and
             // coordinator can never wait on each other in a cycle.
-            let mut next = 0usize;
-            let mut active = 0usize;
-            let mut closed = 0usize;
             let mut aborted = false;
-            let mut last_refused: Option<usize> = None;
-            while closed < k {
+            while coordinator.closed < k {
                 // Room is checked BEFORE the policy is consulted: `admit`
                 // commits the admission (a token bucket debits a token), so
                 // asking it while the target inbox is full would burn
                 // admissions without admitting anything.  The coordinator is
                 // each inbox's only producer, so observed room cannot vanish
-                // before the push.
-                while next < k && inboxes[next % w].has_capacity() {
-                    let verdict = policy.admit(active);
-                    let forced = !verdict && active == 0;
-                    if tracing && (verdict || forced || last_refused != Some(next)) {
-                        admission_trace.push(admission_event(
-                            next,
-                            verdict,
-                            forced,
-                            policy.token_state(),
-                            active,
-                            host_clock,
-                        ));
-                    }
-                    if !(verdict || forced) {
-                        last_refused = Some(next);
-                        break;
-                    }
-                    if inboxes[next % w].try_push(next).is_err() {
-                        // Unreachable while the single-producer invariant
-                        // holds; if it ever breaks, abort the run and report
-                        // it as a failure instead of taking the process down.
-                        aborted = true;
-                        break;
-                    }
-                    next += 1;
-                    active += 1;
-                    peak = peak.max(active);
-                }
+                // before the push; if that invariant ever breaks, the run
+                // aborts and reports it instead of taking the process down.
+                aborted = !coordinator.admit(
+                    |index| inboxes[index % w].has_capacity(),
+                    |index| inboxes[index % w].try_push(index).is_ok(),
+                );
                 let mut got = false;
                 for outbox in &outboxes {
-                    while let Some((report, outs, trace)) = outbox.try_pop() {
-                        policy.on_deliveries(report.deliveries);
-                        host_clock += report.deliveries;
-                        policy.on_session_closed();
-                        outputs[report.session] = outs;
-                        session_traces[report.session] = trace;
-                        reports[report.session] = Some(report);
-                        active -= 1;
-                        closed += 1;
+                    while let Some(closed) = outbox.try_pop() {
+                        coordinator.close(closed);
                         got = true;
                     }
                 }
@@ -618,8 +446,7 @@ where
                     // A worker only exits after its inbox closes (below), so
                     // one finishing early has panicked — its sessions will
                     // never report.  Stop admitting and collect what the
-                    // healthy shards produced instead of spinning forever (or
-                    // panicking the host thread, as this path once did).
+                    // healthy shards produced instead of spinning forever.
                     if workers.iter().any(|h| h.is_finished()) {
                         aborted = true;
                         break;
@@ -650,46 +477,135 @@ where
             // drain the outboxes once more so their sessions are not misread
             // as lost.
             for outbox in &outboxes {
-                while let Some((report, outs, trace)) = outbox.try_pop() {
-                    policy.on_deliveries(report.deliveries);
-                    policy.on_session_closed();
-                    outputs[report.session] = outs;
-                    session_traces[report.session] = trace;
-                    reports[report.session] = Some(report);
+                while let Some(closed) = outbox.try_pop() {
+                    coordinator.close(closed);
                 }
             }
             for (shard, message) in dead {
-                let lost_sessions = (0..k)
-                    .filter(|&i| i % w == shard && reports[i].is_none())
-                    .collect();
+                let lost_sessions = coordinator.unreported(|i| i % w == shard);
                 failures.push(WorkerFailure { shard, message, lost_sessions });
             }
             if aborted && failures.is_empty() {
                 // The abort came from the coordinator side (capacity-invariant
                 // breach), not a worker panic; record it against shard `w` so
                 // the report still fails loudly.
-                let lost_sessions = (0..k).filter(|&i| reports[i].is_none()).collect();
                 failures.push(WorkerFailure {
                     shard: w,
                     message: "single-producer inbox lost capacity".into(),
-                    lost_sessions,
+                    lost_sessions: coordinator.unreported(|_| true),
                 });
             }
         });
 
+        coordinator.finish(failures)
+    }
+}
+
+/// Admission and report collection, shared by both execution modes: it
+/// decides which pending session opens next, and files each closed
+/// session's report, outputs and trace.
+struct Coordinator<O> {
+    policy: Box<dyn AdmissionPolicy>,
+    tracing: bool,
+    reports: Vec<Option<SessionReport>>,
+    outputs: Vec<Vec<Option<O>>>,
+    session_traces: Vec<Vec<TraceEvent>>,
+    admission_trace: Vec<TraceEvent>,
+    /// The next session to admit.
+    next: usize,
+    /// Sessions admitted and not yet closed.
+    active: usize,
+    closed: usize,
+    peak: usize,
+    /// Deliveries of every closed session: the admission trace's clock.
+    clock: u64,
+    /// Dedup of refusal events: one per delayed session, not one per pass.
+    last_refused: Option<usize>,
+}
+
+impl<O> Coordinator<O> {
+    fn new(sessions: usize, policy: Box<dyn AdmissionPolicy>, tracing: bool) -> Self {
+        Coordinator {
+            policy,
+            tracing,
+            reports: vec![None; sessions],
+            outputs: (0..sessions).map(|_| Vec::new()).collect(),
+            session_traces: vec![Vec::new(); sessions],
+            admission_trace: Vec::new(),
+            next: 0,
+            active: 0,
+            closed: 0,
+            peak: 0,
+            clock: 0,
+            last_refused: None,
+        }
+    }
+
+    /// Admits pending sessions while `room(next)` holds and the policy
+    /// allows, with the liveness floor of one forced admission on an idle
+    /// host; `push` hands an admitted index to its executor.  Returns
+    /// `false` when a push failed.
+    fn admit(&mut self, room: impl Fn(usize) -> bool, mut push: impl FnMut(usize) -> bool) -> bool {
+        while self.next < self.reports.len() && room(self.next) {
+            let verdict = self.policy.admit(self.active);
+            let forced = !verdict && self.active == 0;
+            if self.tracing && (verdict || forced || self.last_refused != Some(self.next)) {
+                self.admission_trace.push(admission_event(
+                    self.next,
+                    verdict,
+                    forced,
+                    self.policy.token_state(),
+                    self.active,
+                    self.clock,
+                ));
+            }
+            if !(verdict || forced) {
+                self.last_refused = Some(self.next);
+                break;
+            }
+            if !push(self.next) {
+                return false;
+            }
+            self.next += 1;
+            self.active += 1;
+            self.peak = self.peak.max(self.active);
+        }
+        true
+    }
+
+    /// Files one closed session and ticks the policy clock by its
+    /// deliveries.
+    fn close(&mut self, (report, outputs, trace): ClosedSession<O>) {
+        self.policy.on_deliveries(report.deliveries);
+        self.policy.on_session_closed();
+        self.clock += report.deliveries;
+        self.active -= 1;
+        self.closed += 1;
+        let session = report.session;
+        self.outputs[session] = outputs;
+        self.session_traces[session] = trace;
+        self.reports[session] = Some(report);
+    }
+
+    /// Sessions matching `filter` that never reported.
+    fn unreported(&self, filter: impl Fn(usize) -> bool) -> Vec<usize> {
+        (0..self.reports.len()).filter(|&i| filter(i) && self.reports[i].is_none()).collect()
+    }
+
+    fn finish(self, failures: Vec<WorkerFailure>) -> ShardedRunReport<O> {
         ShardedRunReport {
-            sessions: reports.into_iter().flatten().collect(),
-            outputs,
-            peak_live_sessions: peak,
+            sessions: self.reports.into_iter().flatten().collect(),
+            outputs: self.outputs,
+            peak_live_sessions: self.peak,
             failures,
-            session_traces,
-            admission_trace,
+            session_traces: self.session_traces,
+            admission_trace: self.admission_trace,
         }
     }
 }
 
 /// Builds one host-level admission-decision event (no party context; the
-/// clock is the host-level delivery count at decision time).
+/// clock is the deliveries of every session closed at decision time).
 fn admission_event(
     session: usize,
     admitted: bool,
@@ -713,14 +629,12 @@ fn admission_event(
     }
 }
 
-/// Opens one session (shared by the deterministic merge and the parallel
-/// workers, so the two paths can never diverge in how a session starts):
-/// builds the setup, applies the fault plan, and activates every party.
-/// Activation happens at admission because the deterministic merge checks
-/// outputs/quiescence *before* each delivery — those checks must never
-/// observe pre-activation state (an unactivated session has zero in-flight
-/// messages and would be misread as quiescent).
-fn open_session<M, O, F>(factory: &F, index: usize, traced: bool) -> LiveSession<M, O>
+/// Runs session `index` to its close on the current thread: builds its
+/// setup, applies the fault plan, runs the simulation within its budget
+/// (under a fresh trace sink when `traced`), and snapshots its report,
+/// outputs and trace stream.  The session's state is freed on return — a
+/// completed session retains nothing.
+fn run_session<M, O, F>(factory: &F, index: usize, shard: usize, traced: bool) -> ClosedSession<O>
 where
     M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
     O: Clone + fmt::Debug,
@@ -728,58 +642,30 @@ where
 {
     let setup = factory.build(index);
     let mut sim = Simulation::new(setup.parties, setup.scheduler);
-    for &i in &setup.byzantine {
-        sim.mark_byzantine(PartyId(i));
-    }
-    for &i in &setup.crashed_at_start {
-        sim.crash(PartyId(i));
-    }
-    for &i in &setup.crash_faulty {
-        // Honest-but-crash-faulty: still in the agreement quantifier and
-        // the honest communication metrics, just not awaited.
-        sim.mark_crash_faulty(PartyId(i));
-    }
-    // The sink must be live across activation so the session's stream opens
-    // with its activation events (and activation-time sends).
-    let mut slot =
-        LiveSession { session: index, sim, budget: setup.budget, deliveries: 0, traced, trace: None };
+    setup.faults.apply(&mut sim);
     if traced {
         setupfree_obs::install(Box::new(VecSink::new()));
     }
-    slot.sim.activate_all();
-    suspend_trace(&mut slot);
-    slot
-}
-
-/// Finalises one session: refreshes its buffer telemetry, snapshots its
-/// metrics and outputs, and frees its state (the runtime-level analogue of
-/// router child GC — a completed session retains nothing).
-fn close_session<M, O>(
-    mut slot: LiveSession<M, O>,
-    reason: StopReason,
-    shard: usize,
-) -> ClosedSession<O>
-where
-    M: setupfree_wire::Encode + setupfree_wire::Decode + Clone + fmt::Debug + 'static,
-    O: Clone + fmt::Debug,
-{
-    let trace = slot.trace.take().map(|mut sink| sink.drain()).unwrap_or_default();
-    slot.sim.refresh_buffer_telemetry();
-    let m = slot.sim.metrics();
-    debug_assert_eq!(slot.deliveries, m.delivered_messages, "budget units must be deliveries");
+    let run = sim.run(setup.budget);
+    let trace = if traced {
+        setupfree_obs::uninstall().map(|mut sink| sink.drain()).unwrap_or_default()
+    } else {
+        Vec::new()
+    };
+    let m = sim.metrics();
+    debug_assert_eq!(run.deliveries, m.delivered_messages, "budget units must be deliveries");
     let metrics = SessionMetrics {
         sent: m.honest_messages + m.byzantine_messages,
         honest_messages: m.honest_messages,
         honest_bytes: m.honest_bytes,
         delivered: m.delivered_messages,
         purged: m.purged_messages,
-        in_flight: slot.sim.in_flight() as u64,
+        in_flight: sim.in_flight() as u64,
         rounds: m.rounds_to_all_outputs(),
     };
-    let outputs = slot.sim.outputs();
     (
-        SessionReport { session: slot.session, shard, reason, deliveries: slot.deliveries, metrics },
-        outputs,
+        SessionReport { session: index, shard, reason: run.reason, deliveries: run.deliveries, metrics },
+        sim.outputs(),
         trace,
     )
 }

@@ -9,13 +9,14 @@
 //!
 //! * [`ShardedHost`] — partitions sessions across `W` worker shards (shard
 //!   key = the leading session segment of the instance path, i.e. session
-//!   index mod `W`), each shard owning its sessions' complete execution
-//!   state: party machines, adversarial scheduler, in-flight slab, delivery
-//!   budget, metrics.  A deterministic round-robin shard-step merge keeps
-//!   per-session results identical for every `W`
-//!   ([`ShardedHost::run`]); [`ShardedHost::run_parallel`] is the opt-in
-//!   mode that runs each shard on its own OS thread, with admitted work and
-//!   reports flowing over bounded [`ShardQueue`]s.
+//!   index mod `W`), each session owning its complete execution state:
+//!   party machines, adversarial scheduler, in-flight slab, delivery
+//!   budget, metrics.  A session runs once, to its close, through
+//!   `Simulation::run`; one coordinator admits sessions and collects their
+//!   reports, and either runs them in admission order on the calling
+//!   thread ([`ShardedHost::run`]) or hands them to `W` OS threads over
+//!   bounded [`ShardQueue`]s ([`ShardedHost::run_parallel`]).  Per-session
+//!   results are identical for every `W` and for both modes.
 //! * [`SessionMetrics`] / [`SessionReport`] — per-session accounting
 //!   (sent/delivered/purged/in-flight/rounds) with the conservation law
 //!   checked per session, and [`StopReason::BudgetExhausted`] attributed to
@@ -36,7 +37,6 @@
 pub mod admission;
 pub mod host;
 pub mod queue;
-pub mod verify;
 
 pub use admission::{AdmissionPolicy, MaxConcurrent, TokenBucket, Unlimited};
 pub use host::{
@@ -44,7 +44,6 @@ pub use host::{
     WorkerFailure,
 };
 pub use queue::ShardQueue;
-pub use verify::{FlushReport, SessionVerdict, VerifyQueue, VerifyQueueStats};
 
 // Re-exported so downstream code can name the session stop reason without a
 // separate net import.

@@ -116,8 +116,8 @@ fn budget_exhaustion_is_attributed_to_the_offending_session() {
 fn zero_budget_session_closes_without_delivering_in_both_modes() {
     // The stop-order contract: outputs, quiescence, then the budget verdict
     // are checked BEFORE each delivery — exactly `Simulation::run`'s order —
-    // so a zero-budget session exhausts with zero deliveries, identically in
-    // the deterministic merge and the parallel workers.
+    // so a zero-budget session exhausts with zero deliveries, identically
+    // inline and on the parallel workers.
     let n = 4;
     let k = 2;
     let make = move |s: usize| {

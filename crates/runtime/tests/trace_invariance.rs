@@ -4,10 +4,11 @@
 //! reconstructs into the protocol's span tree.
 //!
 //! The W-invariance pin matters because traces are recorded by
-//! thread-local sinks that are suspended and resumed as the host
-//! interleaves sessions on its workers: if any event leaked to the wrong
-//! session's sink, or the interleave reordered a session's own events,
-//! the streams would differ between worker counts.
+//! thread-local sinks, one installed per session on whichever thread runs
+//! it: if any event leaked to the wrong session's sink, or a worker
+//! reordered a session's own events, the streams would differ between
+//! worker counts.  And a sharded session must be exactly the bare
+//! simulation of its setup: same counts, same outputs, same stream.
 
 use std::sync::Arc;
 
@@ -15,9 +16,11 @@ use setupfree_aba::{MmrAba, MmrAbaFactory};
 use setupfree_app::beacon::{BeaconEpoch, RandomBeacon};
 use setupfree_core::TrustedCoinFactory;
 use setupfree_crypto::{generate_pki, Keyring, PartySecrets};
-use setupfree_net::{BoxedParty, Envelope, PartyId, RandomScheduler, Sid};
+use setupfree_net::{
+    BoxedParty, CrashAfter, Envelope, PartyId, RandomScheduler, Sid, SilentParty, Simulation,
+};
 use setupfree_obs::analysis::span_tree;
-use setupfree_obs::{EventKind, Phase, NO_PARTY};
+use setupfree_obs::{EventKind, Phase, VecSink, NO_PARTY};
 use setupfree_runtime::{SessionSetup, ShardedHost, TokenBucket};
 
 fn trusted_aba_session(n: usize, session: usize, base_seed: u64) -> SessionSetup<Envelope, bool> {
@@ -68,6 +71,56 @@ fn session_traces_are_identical_for_every_worker_count() {
     // hands each session's sink to whichever worker thread resumes it.
     let parallel = run_with(4, true);
     assert_eq!(parallel.session_traces, golden.session_traces);
+}
+
+#[test]
+fn a_sharded_session_is_a_bare_simulation() {
+    let (n, k, seed) = (4, 4, 0xBA5E);
+    // Session 2's party 3 crashes mid-run: honest traffic, not awaited.
+    let crash = |s: usize| (s == 2).then_some((3, 5));
+    let make = move |s: usize| {
+        let setup = trusted_aba_session(n, s, seed);
+        match crash(s) {
+            Some((i, activations)) => setup.crash_after(i, activations),
+            None => setup,
+        }
+    };
+    let inline = ShardedHost::new(2, k, make).with_tracing().run();
+    let parallel = ShardedHost::new(2, k, make).with_tracing().run_parallel();
+    assert!(inline.all_terminated() && parallel.all_terminated());
+
+    for s in 0..k {
+        let setup = trusted_aba_session(n, s, seed);
+        let mut parties = setup.parties;
+        if let Some((i, activations)) = crash(s) {
+            let machine = std::mem::replace(&mut parties[i], Box::new(SilentParty::new()));
+            parties[i] = Box::new(CrashAfter::new(machine, activations));
+        }
+        let mut sim = Simulation::new(parties, setup.scheduler);
+        if let Some((i, _)) = crash(s) {
+            sim.mark_crash_faulty(PartyId(i));
+        }
+        setupfree_obs::install(Box::new(VecSink::new()));
+        let run = sim.run(setup.budget);
+        let trace = setupfree_obs::uninstall().map(|mut sink| sink.drain()).unwrap_or_default();
+        let m = sim.metrics();
+        let bare = (
+            s,
+            run.deliveries,
+            m.rounds_to_all_outputs(),
+            m.honest_messages + m.byzantine_messages,
+            m.honest_bytes,
+        );
+        for (mode, report) in [("run", &inline), ("run_parallel", &parallel)] {
+            assert_eq!(report.sessions[s].reason, run.reason, "{mode}: session {s} stop reason");
+            assert_eq!(report.fingerprints()[s], bare, "{mode}: session {s} fingerprint");
+            assert_eq!(report.outputs[s], sim.outputs(), "{mode}: session {s} outputs");
+            assert_eq!(report.session_traces[s], trace, "{mode}: session {s} trace stream");
+        }
+        if crash(s).is_some() {
+            assert_eq!(sim.outputs()[3], None, "the crashed party reports no output");
+        }
+    }
 }
 
 #[test]

@@ -12,8 +12,8 @@
 //!   schedule (FIFO, uniformly random, targeted delay of a victim set, or a
 //!   half/half partition), instantiable into a
 //!   [`Scheduler`](setupfree_net::Scheduler);
-//! * [`Ensemble`] — a set of [`BoxedParty`] state machines plus a fault
-//!   plan (silent Byzantine parties, mid-run crashes via
+//! * [`Ensemble`] — a set of [`BoxedParty`] state machines plus a
+//!   [`FaultPlan`] (silent Byzantine parties, mid-run crashes via
 //!   [`CrashAfter`](setupfree_net::CrashAfter), pre-run crashes);
 //! * [`sweep`] — builds a fresh ensemble per adversary, runs each to
 //!   completion, and returns one [`SweepRun`] per schedule;
@@ -65,9 +65,9 @@
 use std::fmt;
 
 use setupfree_net::{
-    BoxedParty, CrashAfter, FifoScheduler, Metrics, ObsPath, PartitionScheduler, PartyId,
+    BoxedParty, FaultPlan, FifoScheduler, Metrics, ObsPath, PartitionScheduler, PartyId,
     RandomScheduler, RunReport, Scheduler, SessionPartitionScheduler,
-    SessionTargetedDelayScheduler, SilentParty, Simulation, StopReason, TargetedDelayScheduler,
+    SessionTargetedDelayScheduler, Simulation, StopReason, TargetedDelayScheduler,
 };
 
 /// One reproducible adversarial delivery schedule.
@@ -226,9 +226,7 @@ where
     O: Clone + fmt::Debug + 'static,
 {
     parties: Vec<BoxedParty<M, O>>,
-    byzantine: Vec<usize>,
-    crash_faulty: Vec<usize>,
-    crashed_at_start: Vec<usize>,
+    faults: FaultPlan,
     path_of: Option<fn(&M) -> ObsPath>,
 }
 
@@ -239,13 +237,7 @@ where
 {
     /// An all-honest ensemble.
     pub fn new(parties: Vec<BoxedParty<M, O>>) -> Self {
-        Ensemble {
-            parties,
-            byzantine: Vec::new(),
-            crash_faulty: Vec::new(),
-            crashed_at_start: Vec::new(),
-            path_of: None,
-        }
+        Ensemble { parties, faults: FaultPlan::default(), path_of: None }
     }
 
     /// Installs a path classifier on the simulation (see
@@ -273,15 +265,14 @@ where
 
     /// Replaces party `i` with a fully silent Byzantine machine.
     pub fn silence(mut self, i: usize) -> Self {
-        self.parties[i] = Box::new(SilentParty::new());
-        self.byzantine.push(i);
+        self.faults.silence(&mut self.parties, i);
         self
     }
 
     /// Marks party `i` Byzantine without changing its machine (used when the
     /// caller installed a custom adversarial implementation).
     pub fn mark_byzantine(mut self, i: usize) -> Self {
-        self.byzantine.push(i);
+        self.faults.mark_byzantine(i);
         self
     }
 
@@ -292,43 +283,24 @@ where
     /// output (if it produces one before crashing) participates in the
     /// agreement quantifier; only termination stops awaiting it.
     pub fn crash_after(mut self, i: usize, activations: usize) -> Self {
-        let machine = std::mem::replace(&mut self.parties[i], Box::new(SilentParty::new()));
-        self.parties[i] = Box::new(CrashAfter::new(machine, activations));
-        self.crash_faulty.push(i);
+        self.faults.crash_after(&mut self.parties, i, activations);
         self
     }
 
     /// Crashes party `i` before the run starts (it never activates).
     pub fn crash_at_start(mut self, i: usize) -> Self {
-        self.crashed_at_start.push(i);
+        self.faults.crash_at_start(i);
         self
     }
 
     fn into_simulation(self, adversary: &Adversary) -> (Simulation<M, O>, Vec<bool>, Vec<bool>) {
         let n = self.parties.len();
-        let mut honest = vec![true; n];
-        let mut awaited = vec![true; n];
         let mut sim = Simulation::new(self.parties, adversary.scheduler());
         if let Some(f) = self.path_of {
             sim.set_path_of(f);
         }
-        for &i in &self.byzantine {
-            honest[i] = false;
-            awaited[i] = false;
-            sim.mark_byzantine(PartyId(i));
-        }
-        for &i in &self.crash_faulty {
-            // Honest-but-crash-faulty: still in the agreement quantifier and
-            // the honest communication metrics, just not awaited.
-            awaited[i] = false;
-            sim.mark_crash_faulty(PartyId(i));
-        }
-        for &i in &self.crashed_at_start {
-            honest[i] = false;
-            awaited[i] = false;
-            sim.crash(PartyId(i));
-        }
-        (sim, honest, awaited)
+        self.faults.apply(&mut sim);
+        (sim, self.faults.honest(n), self.faults.awaited(n))
     }
 }
 
